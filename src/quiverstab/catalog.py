@@ -77,40 +77,58 @@ def _with_derived_relations(q: Quiver) -> Quiver:
     return replace(q, relations=tuple(derive_binomial_relations(q)))
 
 
-def monomials_of_degree(
-    var_degrees: Sequence[tuple[int, ...]], target: tuple[int, ...], cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """Exponent vectors of monomials with the given multidegree.
+_PERCEPTRON_STEPS = 1000
 
-    Exponents are searched up to ``cap``; the default is generous for the
-    small degrees the catalog needs.
+
+def _positive_functional(var_degrees: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """An integer vector w with w . d > 0 for every variable degree d.
+
+    Found by perceptron updates: add any degree that w fails to make
+    positive.  When some w exists the updates end after finitely many steps
+    (Novikoff 1962); when none exists, some nonconstant monomial has degree
+    zero, and a degree can have infinitely many monomials.
     """
-    if cap is None:
-        cap = 3 * (1 + sum(abs(t) for t in target))
-    rank = len(target)
-    positive = all(all(c >= 0 for c in d) for d in var_degrees)
+    rank = len(var_degrees[0])
+    w = (0,) * rank
+    for _ in range(_PERCEPTRON_STEPS):
+        bad = next((d for d in var_degrees if _dot(w, d) <= 0), None)
+        if bad is None:
+            return w
+        w = tuple(x + y for x, y in zip(w, bad))
+    raise ValueError(f"no positive grading found for variable degrees {list(var_degrees)}")
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def monomials_of_degree(
+    var_degrees: Sequence[tuple[int, ...]], target: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Exponent vectors of monomials with the given multidegree, in
+    lexicographic order.
+
+    A functional w positive on every variable degree bounds each exponent:
+    ``e_k * (w . d_k) <= w . (what is left of the target)``.  The last
+    exponent is solved for directly.
+    """
+    w = _positive_functional(var_degrees)
+    weights = [_dot(w, d) for d in var_degrees]
+    last = len(var_degrees) - 1
     out = []
 
     def recurse(idx: int, exps: tuple[int, ...], remaining: tuple[int, ...]):
-        if positive and any(c < 0 for c in remaining):
-            return
-        if idx == len(var_degrees):
-            if all(c == 0 for c in remaining):
-                out.append(exps)
-            return
+        budget = _dot(w, remaining)
         d = var_degrees[idx]
-        for e in range(cap + 1):
-            recurse(
-                idx + 1,
-                exps + (e,),
-                tuple(r - e * c for r, c in zip(remaining, d)),
-            )
-            if positive and any(c > 0 for c in d) and any(
-                r - (e + 1) * c < 0 for r, c in zip(remaining, d)
-            ):
-                break
+        if idx == last:
+            e = budget // weights[idx]
+            if e >= 0 and all(r == e * c for r, c in zip(remaining, d)):
+                out.append(exps + (e,))
+            return
+        for e in range(budget // weights[idx] + 1):
+            recurse(idx + 1, exps + (e,), tuple(r - e * c for r, c in zip(remaining, d)))
 
-    recurse(0, (), target)
+    recurse(0, (), tuple(target))
     return out
 
 
@@ -168,6 +186,16 @@ def _check_hom_dimensions(entry: CatalogEntry):
 # ---------------------------------------------------------------------------
 # entries
 # ---------------------------------------------------------------------------
+
+# Listed names and their descriptions; listing the catalog builds nothing.
+_DESCRIPTIONS = {
+    "p2": "O..O(2) on P^2",
+    "f1": "O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
+    "p1xp1": "O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
+    "p2-helix": "helix extension of the P^2 chain on tot(K)",
+    "p1xp1-spiral": "spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
+    "pn(k)": "O..O(k) on P^k, any k >= 1",
+}
 
 
 def _projective_space_entry(dim: int) -> CatalogEntry:
@@ -230,7 +258,7 @@ def _f1_entry() -> CatalogEntry:
         quiver=_with_derived_relations(q),
         cox_variables=variables,
         forbidden_vanishing=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
-        description="O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
+        description=_DESCRIPTIONS["f1"],
     )
     _validate_entry(entry)
     _check_hom_dimensions(entry)
@@ -267,7 +295,7 @@ def _p1xp1_entry() -> CatalogEntry:
         quiver=_with_derived_relations(q),
         cox_variables=variables,
         forbidden_vanishing=(frozenset({"x1", "x2"}), frozenset({"y1", "y2"})),
-        description="O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
+        description=_DESCRIPTIONS["p1xp1"],
     )
     _validate_entry(entry)
     _check_hom_dimensions(entry)
@@ -285,7 +313,7 @@ def _p2_helix_entry() -> CatalogEntry:
         cox_variables=base.cox_variables,
         forbidden_vanishing=base.forbidden_vanishing,
         fiber=True,
-        description="helix extension of the P^2 chain on tot(K)",
+        description=_DESCRIPTIONS["p2-helix"],
     )
     _validate_entry(entry)
     return entry
@@ -318,7 +346,7 @@ def _p1xp1_spiral_entry() -> CatalogEntry:
         cox_variables=variables,
         forbidden_vanishing=(frozenset({"x1", "x2"}), frozenset({"y1", "y2"})),
         fiber=True,
-        description="spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
+        description=_DESCRIPTIONS["p1xp1-spiral"],
     )
     _validate_entry(entry)
     return entry
@@ -328,7 +356,12 @@ _PN_RE = re.compile(r"pn\((\d+)\)$")
 
 
 def entry_names() -> list[str]:
-    return ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(k)"]
+    return list(_DESCRIPTIONS)
+
+
+def entry_description(name: str) -> str:
+    """The description of a listed entry name, without building the entry."""
+    return _DESCRIPTIONS[name]
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -160,12 +159,7 @@ def main():
 def catalog_cmd(name, fmt):
     """List the built-in examples, or export one as quiver JSON."""
     if name is None:
-        rows = []
-        for nm in cat.entry_names():
-            if nm == "pn(k)":
-                rows.append((nm, "O..O(k) on P^k, any k >= 1"))
-            else:
-                rows.append((nm, cat.get_entry(nm).description))
+        rows = [(nm, cat.entry_description(nm)) for nm in cat.entry_names()]
         _emit(
             {"entries": [{"name": a, "description": b} for a, b in rows]},
             [f"{a:14} {b}" for a, b in rows],
@@ -197,12 +191,10 @@ def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, stri
     ok = pts.satisfies_relations(q, p)
     if strict and not ok:
         raise DomainError("point does not satisfy the quiver relations")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            report = st.stability_report(q, p, character)
-        except st.EnumerationCapError as exc:
-            raise DomainError(str(exc))
+    try:
+        report = st.stability_report(q, p, character)
+    except st.EnumerationCapError as exc:
+        raise DomainError(str(exc))
     result = report.to_dict()
     result["satisfies_relations"] = ok
     verdict = "stable" if report.stable else ("semistable" if report.semistable else "unstable")
@@ -305,12 +297,10 @@ def supports_cmd(example, quiver_path, point_path, taut, fiber, strict, fmt):
     ok = pts.satisfies_relations(q, p)
     if strict and not ok:
         raise DomainError("point does not satisfy the quiver relations")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            fam = st.subrep_supports(q, p)
-        except st.EnumerationCapError as exc:
-            raise DomainError(str(exc))
+    try:
+        fam = st.subrep_supports(q, p, warn=False)
+    except st.EnumerationCapError as exc:
+        raise DomainError(str(exc))
     sets = [sorted(s) for s in fam.sorted_supports()]
     _emit(
         {"supports": sets, "count": len(sets), "satisfies_relations": ok},
@@ -330,12 +320,10 @@ def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
     """King inequalities of a point's support family, in polyhedral form."""
     q, entry = _load_quiver(example, quiver_path)
     p = _load_point(q, entry, point_path, taut, fiber)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            cone = st.stability_cone(st.subrep_supports(q, p))
-        except st.EnumerationCapError as exc:
-            raise DomainError(str(exc))
+    try:
+        cone = st.stability_cone(st.subrep_supports(q, p, warn=False))
+    except st.EnumerationCapError as exc:
+        raise DomainError(str(exc))
     lines = [f"{list(v)} . chi <= 0" for v in cone.inequalities]
     lines.append(f"{list(cone.equality)} . chi = 0")
     _emit(cone.to_dict(), lines, fmt)
@@ -344,7 +332,9 @@ def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
 @main.command("cycles")
 @click.option("--example")
 @click.option("--quiver", "quiver_path")
-@click.option("--max-len", type=int, default=None, help="walk length cap (default 2n)")
+@click.option(
+    "--max-len", type=click.IntRange(min=1), default=None, help="walk length cap (default 2n)"
+)
 @_format_option
 def cycles_cmd(example, quiver_path, max_len, fmt):
     """Closed walks up to rotation, the generators of the invariant functions."""
@@ -363,7 +353,9 @@ def cycles_cmd(example, quiver_path, max_len, fmt):
 @main.command("separate")
 @click.option("--example", required=True)
 @click.option("--pairs", type=int, default=100, show_default=True)
-@click.option("--max-len", type=int, default=None, help="cycle length cap (default 2n)")
+@click.option(
+    "--max-len", type=click.IntRange(min=1), default=None, help="cycle length cap (default 2n)"
+)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_format_option
 def separate_cmd(example, pairs, max_len, seed, fmt):

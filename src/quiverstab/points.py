@@ -129,14 +129,16 @@ def point_to_dict(p: RepresentationPoint) -> dict:
 
 
 def point_from_dict(data: Mapping) -> RepresentationPoint:
+    """Values must be integers or rational strings like ``"-3/4"``; floats
+    are rejected."""
     try:
         return RepresentationPoint.from_mapping(
-            {str(k): Fraction(str(v)) for k, v in data["values"].items()}
+            {str(k): v for k, v in data["values"].items()}
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, PointError):
-            raise
-        raise PointError(f"malformed point description: {exc}") from exc
+    except PointError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PointError(f"malformed point description: {exc!r}") from exc
 
 
 def point_to_json(p: RepresentationPoint) -> str:

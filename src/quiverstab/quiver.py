@@ -351,14 +351,50 @@ def _paths_up_to_degree(q: Quiver, src: int, max_degree: int) -> Iterator[Path]:
     yield from walk(src, (), 0)
 
 
+def _component_leaders(paths: list[Path]) -> list[Path]:
+    """The least path of each component of a fiber, in order.
+
+    ``paths`` must be sorted.  Two paths of length >= 3 are joined when they
+    share their first arrow or their last arrow.
+    """
+    parent = list(range(len(paths)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    anchors: dict[tuple[int, str], int] = {}
+    for i, p in enumerate(paths):
+        if len(p) < 3:
+            continue
+        for end in (0, -1):
+            ri, rj = find(i), find(anchors.setdefault((end, p.arrows[end].id), i))
+            # the smaller index stays the root, so each root is its component's least path
+            parent[max(ri, rj)] = min(ri, rj)
+    return [p for i, p in enumerate(paths) if find(i) == i]
+
+
 def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[Relation]:
     """Binomial relations induced by coincidences of monomial label products.
 
-    Two paths sharing endpoints, with equal total weight and equal label
-    product, compose to the same map of sheaves; each such unordered pair
-    yields the relation ``path1 - path2``.  Matching is by path-algebra
-    degree (equivalently, by endpoints plus total weight) rather than by raw
-    length, since a labeled composite arrow can shortcut a longer path.
+    Paths sharing endpoints, with equal total weight and equal label
+    product, compose to the same map of sheaves; such paths form a fiber.
+    Matching is by path-algebra degree (equivalently, by endpoints plus
+    total weight) rather than by raw length, since a labeled composite arrow
+    can shortcut a longer path.
+
+    Two paths of length >= 3 in a fiber that share their first arrow ``a``
+    differ by ``a`` times the difference of two paths in a fiber of lower
+    degree, and likewise for a shared last arrow, so their relation follows
+    from lower-degree ones.  Joining paths along shared end arrows splits
+    each fiber into components; the relations are ``leader_0 - leader_k``,
+    one per extra component, where ``leader_k`` is the least path (by arrow
+    ids) of the k-th component.  They generate the same ideal as all
+    pairwise differences.  Length-2 paths are never joined: removing the
+    shared arrow leaves a single arrow, and a difference of single arrows is
+    not a relation.
 
     ``max_degree`` bounds the search.  On acyclic quivers the default
     explores all paths; on cyclic quivers it defaults to ``n``, which covers
@@ -388,12 +424,9 @@ def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[
 
     relations: list[Relation] = []
     for key in sorted(groups, key=str):
-        paths = sorted(groups[key], key=Path.arrow_ids)
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                relations.append(
-                    Relation(((Fraction(1), paths[i]), (Fraction(-1), paths[j])))
-                )
+        first, *rest = _component_leaders(sorted(groups[key], key=Path.arrow_ids))
+        for other in rest:
+            relations.append(Relation(((Fraction(1), first), (Fraction(-1), other))))
     return relations
 
 

@@ -148,7 +148,12 @@ def subrep_supports(
     cap: int = DEFAULT_ENUMERATION_CAP,
     warn: bool = True,
 ) -> SupportFamily:
-    """Exact support family via enumeration of all 2^n node subsets."""
+    """Exact support family via enumeration of all 2^n node subsets.
+
+    With ``warn``, a point that violates the quiver relations triggers a
+    warning.  The verdict routines below pass ``warn=False``: the supports do
+    not depend on the relations, and callers that care check them once.
+    """
     if q.n > cap:
         raise EnumerationCapError(
             f"subset enumeration over {q.n} nodes exceeds the cap of {cap}"
@@ -220,7 +225,7 @@ def violating_support(
 ) -> frozenset[int] | None:
     """A support with chi_S > 0, or None if the point is chi-semistable."""
     _check_character(q, chi)
-    fam = subrep_supports(q, p, cap=cap)
+    fam = subrep_supports(q, p, cap=cap, warn=False)
     worst = max(fam.sorted_supports(), key=lambda s: (chi.of_subset(s), -len(s)))
     if chi.of_subset(worst) > 0:
         return worst
@@ -238,7 +243,7 @@ def is_stable(
 ) -> bool:
     """Semistable, with chi_S = 0 only for the empty and full supports."""
     _check_character(q, chi)
-    fam = subrep_supports(q, p, cap=cap)
+    fam = subrep_supports(q, p, cap=cap, warn=False)
     for s in fam.proper():
         if chi.of_subset(s) >= 0:
             return False
@@ -267,7 +272,7 @@ def stability_report(
     q: Quiver, p: RepresentationPoint, chi: Character, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> StabilityReport:
     _check_character(q, chi)
-    fam = subrep_supports(q, p, cap=cap)
+    fam = subrep_supports(q, p, cap=cap, warn=False)
     violating = None
     semistable = True
     stable = True

@@ -8,6 +8,7 @@ from quiverstab.catalog import (
     UnknownEntryError,
     canonical_geometric_form,
     check_irrelevant_locus,
+    entry_description,
     entry_names,
     get_entry,
     monomials_of_degree,
@@ -16,7 +17,7 @@ from quiverstab.catalog import (
     tautological_point,
 )
 from quiverstab.points import satisfies_relations, vanishing_pattern
-from quiverstab.quiver import grading_certificate
+from quiverstab.quiver import enumerate_paths, grading_certificate
 
 ALL_NAMES = ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"]
 
@@ -38,7 +39,7 @@ class TestEntries:
         for a in q.arrows:
             counts[(a.source, a.target)] = counts.get((a.source, a.target), 0) + 1
         assert counts == {(2, 1): 1, (3, 1): 1, (3, 2): 2, (4, 3): 3}
-        assert len(q.relations) == 4
+        assert len(q.relations) == 3
 
     def test_f1_gg_false_only_at_12(self):
         q = get_entry("f1").quiver
@@ -57,6 +58,13 @@ class TestEntries:
         assert q.pic == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert q.canonical == (-2, -2)
         assert len(q.relations) == 4
+
+    @pytest.mark.parametrize(
+        "name,count",
+        [("p2-helix", 9), ("p1xp1-spiral", 8), ("pn(3)", 12), ("pn(4)", 30)],
+    )
+    def test_relation_counts(self, name, count):
+        assert len(get_entry(name).quiver.relations) == count
 
     def test_pn_generalizes_p2(self):
         e3 = get_entry("pn(3)")
@@ -82,6 +90,11 @@ class TestEntries:
         names = entry_names()
         assert "f1" in names and "pn(k)" in names
 
+    def test_listed_descriptions_match_entries(self):
+        for name in entry_names():
+            if name != "pn(k)":
+                assert entry_description(name) == get_entry(name).description
+
 
 class TestMonomialsOfDegree:
     def test_projective_line(self):
@@ -98,6 +111,51 @@ class TestMonomialsOfDegree:
 
     def test_empty_when_unreachable(self):
         assert monomials_of_degree([(1,)], (-1,)) == []
+
+    def test_degree_zero_monomial_rejected(self):
+        with pytest.raises(ValueError):
+            monomials_of_degree([(1, 0), (-1, 0), (0, 1)], (0, 1))
+
+    @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1", "pn(3)", "pn(4)"])
+    def test_matches_box_search_on_hom_targets(self, name):
+        entry = get_entry(name)
+        q = entry.quiver
+        degrees = [d for _, d in entry.cox_variables]
+        targets = {
+            tuple(a - b for a, b in zip(q.pic[j - 1], q.pic[i - 1]))
+            for j in range(1, q.n + 1)
+            for i in range(1, q.n + 1)
+            if i != j and any(len(p) >= 1 for p in enumerate_paths(q, j, i, q.n))
+        }
+        assert targets
+        for target in targets:
+            assert monomials_of_degree(degrees, target) == box_search(degrees, target)
+
+
+def box_search(var_degrees, target):
+    """Oracle: every exponent vector in the box [0, cap]^k, pruned only when all
+    variable degrees are non-negative."""
+    cap = 3 * (1 + sum(abs(t) for t in target))
+    positive = all(all(c >= 0 for c in d) for d in var_degrees)
+    out = []
+
+    def recurse(idx, exps, remaining):
+        if positive and any(c < 0 for c in remaining):
+            return
+        if idx == len(var_degrees):
+            if all(c == 0 for c in remaining):
+                out.append(exps)
+            return
+        d = var_degrees[idx]
+        for e in range(cap + 1):
+            recurse(idx + 1, exps + (e,), tuple(r - e * c for r, c in zip(remaining, d)))
+            if positive and any(c > 0 for c in d) and any(
+                r - (e + 1) * c < 0 for r, c in zip(remaining, d)
+            ):
+                break
+
+    recurse(0, (), target)
+    return out
 
 
 class TestTautologicalPoint:

@@ -36,6 +36,15 @@ class TestCatalogCommand:
         result = runner.invoke(main, ["catalog", "nope"])
         assert result.exit_code == 2
 
+    def test_list_builds_no_entry(self, runner, monkeypatch):
+        def refuse(name):
+            raise AssertionError(f"listing built {name}")
+
+        monkeypatch.setattr("quiverstab.catalog.get_entry", refuse)
+        result = runner.invoke(main, ["catalog", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["entries"]) == 6
+
 
 class TestCheckCommand:
     def test_p2_taut_stable(self, runner):
@@ -125,6 +134,40 @@ class TestCheckCommand:
             ],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("check", ["--chi=-1,0,0,0,1"]), ("supports", [])],
+    )
+    def test_relations_evaluated_once(self, runner, monkeypatch, command, extra):
+        from quiverstab import points
+
+        calls = []
+
+        def counting(q, p):
+            calls.append(q.n)
+            return real(q, p)
+
+        real = points.satisfies_relations
+        monkeypatch.setattr("quiverstab.points.satisfies_relations", counting)
+        monkeypatch.setattr("quiverstab.stability.satisfies_relations", counting)
+        result = runner.invoke(main, [command, "--example", "pn(4)", "--taut", "1:2:3:4:5", *extra])
+        assert result.exit_code == 0, result.output
+        assert calls == [5]
+
+    @pytest.mark.parametrize("value", [0.5, "1/0"])
+    def test_bad_point_value_exits_2(self, runner, tmp_path, value):
+        point = tmp_path / "p.json"
+        values = {f"a{j}_{k}": "1" for j in ("21", "32") for k in (1, 2, 3)}
+        values["a21_1"] = value
+        point.write_text(json.dumps({"values": values}))
+        result = runner.invoke(
+            main, ["check", "--example", "p2", "--chi=-1,0,1", "--point", str(point)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "bad point file" in result.output
 
     def test_bad_character_length(self, runner):
         result = runner.invoke(
@@ -275,6 +318,13 @@ class TestCyclesAndSeparate:
         assert a.exit_code == 0
         assert a.output == b.output
         assert json.loads(a.output)["separated"] == 10
+
+    @pytest.mark.parametrize("command", ["cycles", "separate"])
+    def test_max_len_zero_exits_2(self, runner, command):
+        result = runner.invoke(main, [command, "--example", "p2-helix", "--max-len", "0"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_separate_needs_fiber(self, runner):
         result = runner.invoke(main, ["separate", "--example", "p2"])

@@ -1,6 +1,11 @@
-import pytest
+import random
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
+from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
+from quiverstab.points import RepresentationPoint, satisfies_relations
 from quiverstab.quiver import (
     Arrow,
     Path,
@@ -16,7 +21,6 @@ from quiverstab.quiver import (
     quiver_from_json,
     quiver_to_json,
 )
-from quiverstab.catalog import get_entry
 
 
 def chain3():
@@ -190,6 +194,118 @@ class TestDeriveBinomialRelations:
         rels = derive_binomial_relations(q)
         lengths = {tuple(sorted(len(p) for _, p in rel.terms)) for rel in rels}
         assert (2, 3) in lengths
+
+
+def all_pairs_relations(q: Quiver) -> list[Relation]:
+    """Oracle: the difference of every pair of paths in a fiber, i.e. with
+    equal endpoints, total weight and label product, and length >= 2."""
+    max_degree = q.n if q.has_cycle() else sum(arrow_degree(q, a) for a in q.arrows)
+    fibers: dict[tuple, list[Path]] = {}
+    for src in range(1, q.n + 1):
+        for dst in range(1, q.n + 1):
+            for p in enumerate_paths(q, src, dst, max_degree):
+                if len(p) < 2 or sum(arrow_degree(q, a) for a in p.arrows) > max_degree:
+                    continue
+                key = (src, dst, p.total_weight, monomial_key(p.label_exponents()))
+                fibers.setdefault(key, []).append(p)
+    return [
+        Relation(((Fraction(1), p1), (Fraction(-1), p2)))
+        for paths in fibers.values()
+        for i, p1 in enumerate(paths)
+        for p2 in paths[i + 1 :]
+    ]
+
+
+def _rational(rng, zero_prob):
+    if rng.random() < zero_prob:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+
+
+def _tautological(entry, rng):
+    cox = sample_cox_values(entry, rng)
+    fiber = _rational(rng, 0.25) if entry.fiber else None
+    return tautological_point(entry, cox, fiber)
+
+
+def _perturbed(entry, rng):
+    """A tautological point with one arrow value changed."""
+    values = _tautological(entry, rng).as_dict()
+    arrow = rng.choice(entry.quiver.arrows).id
+    old = values[arrow]
+    while values[arrow] == old:
+        values[arrow] = _rational(rng, 0.3)
+    return RepresentationPoint.for_quiver(entry.quiver, values)
+
+
+def _random(entry, rng):
+    values = {a.id: _rational(rng, 0.4) for a in entry.quiver.arrows}
+    return RepresentationPoint.for_quiver(entry.quiver, values)
+
+
+class TestMinimalRelations:
+    """The fiber-component relations against the all-pairs oracle."""
+
+    @pytest.mark.parametrize(
+        "name,pairs,points",
+        [
+            ("p2", 3, 30),
+            ("f1", 4, 30),
+            ("p1xp1", 4, 30),
+            ("p2-helix", 108, 30),
+            ("p1xp1-spiral", 48, 30),
+            ("pn(3)", 108, 15),
+            ("pn(4)", 4080, 5),
+        ],
+    )
+    def test_same_verdicts_as_all_pairs(self, name, pairs, points):
+        entry = get_entry(name)
+        q = entry.quiver
+        oracle = replace(q, relations=tuple(all_pairs_relations(q)))
+        assert len(oracle.relations) == pairs
+        rng = random.Random(name)
+        verdicts = {}
+        for kind in (_tautological, _perturbed, _random):
+            for _ in range(points):
+                p = kind(entry, rng)
+                got = satisfies_relations(q, p)
+                assert got == satisfies_relations(oracle, p), (kind.__name__, p)
+                verdicts.setdefault(kind.__name__, set()).add(got)
+        assert verdicts["_tautological"] == {True}
+        assert False in verdicts["_perturbed"]
+
+    def test_shortcut_arrow_keeps_its_relation(self):
+        # a.c and a.y.z share their first arrow, but c alone is a single arrow
+        arrows = (
+            Arrow("a", 4, 3, label="u"),
+            Arrow("c", 3, 1, label="v*w"),
+            Arrow("y", 3, 2, label="v"),
+            Arrow("z", 2, 1, label="w"),
+        )
+        (rel,) = derive_binomial_relations(Quiver(n=4, arrows=arrows))
+        assert [(c, p.arrow_ids()) for c, p in rel.terms] == [
+            (1, ("a", "c")),
+            (-1, ("a", "y", "z")),
+        ]
+
+    def test_parallel_arrows_keep_their_relation(self):
+        arrows = (
+            Arrow("a", 3, 2, label="u"),
+            Arrow("b1", 2, 1, label="v"),
+            Arrow("b2", 2, 1, label="v"),
+        )
+        (rel,) = derive_binomial_relations(Quiver(n=3, arrows=arrows))
+        assert [(c, p.arrow_ids()) for c, p in rel.terms] == [
+            (1, ("a", "b1")),
+            (-1, ("a", "b2")),
+        ]
+
+    def test_f1_drops_a_multiple_of_a_shorter_relation(self):
+        # a43_2.a32_2.a21_1 - a43_3.a32_1.a21_1 = (a43_2.a32_2 - a43_3.a32_1).a21_1
+        q = get_entry("f1").quiver
+        pairs = {tuple(p.arrow_ids() for _, p in rel.terms) for rel in q.relations}
+        assert (("a43_2", "a32_2"), ("a43_3", "a32_1")) in pairs
+        assert (("a43_2", "a32_2", "a21_1"), ("a43_3", "a32_1", "a21_1")) not in pairs
 
 
 class TestQuiverValidation:
