@@ -38,8 +38,6 @@ from .stability import (
     certify_good,
     certify_great,
     character_from_weights,
-    is_semistable,
-    is_stable,
     stability_cone,
     stability_report,
     subrep_supports,
@@ -54,10 +52,7 @@ from .invariants import (
     separation_experiment,
 )
 from .helix import (
-    LineWitness,
-    NotCollinearError,
     check_prop41_degrees,
-    common_line,
     e_chi_degree,
     extend_spiral,
     theorem43_character,

@@ -89,25 +89,37 @@ def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
     return character
 
 
-def _parse_weights(n: int, m_entries, m_file: str | None) -> st.WeightMatrix:
+def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMatrix:
+    """The weight matrix of --m entries or of --m-file.  With ``n`` None the
+    size is inferred: the file's row count, or the largest entry index."""
     if m_entries and m_file:
         raise click.UsageError("give --m entries or --m-file, not both")
     if m_file is not None:
         try:
             data = json.loads(FsPath(m_file).read_text())
-            return st.WeightMatrix(tuple(tuple(int(x) for x in row) for row in data["m"]))
+            m = st.WeightMatrix(tuple(tuple(int(x) for x in row) for row in data["m"]))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"bad weight file: {exc}")
-    entries: dict[tuple[int, int], int] = {}
+        if n is not None and m.n != n:
+            raise click.UsageError(f"weight matrix size {m.n} != {n} nodes")
+        return m
+    parsed = []
     for spec in m_entries:
         try:
             value, pair = spec.split("@")
             i, j = (int(x) for x in pair.split(","))
-            entries[(i, j)] = entries.get((i, j), 0) + int(value)
+            parsed.append((spec, i, j, int(value)))
         except ValueError:
             raise click.UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
+    if n is None:
+        if not parsed:
+            raise click.UsageError("give --n when no weight entries are supplied")
+        n = max(max(i, j) for _, i, j, _ in parsed)
+    entries: dict[tuple[int, int], int] = {}
+    for spec, i, j, value in parsed:
         if not (1 <= i <= n and 1 <= j <= n):
             raise click.UsageError(f"weight entry {spec!r} out of range 1..{n}")
+        entries[(i, j)] = entries.get((i, j), 0) + value
     try:
         return st.WeightMatrix.from_entries(n, entries)
     except ValueError as exc:
@@ -262,21 +274,6 @@ def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
 @_format_option
 def character_cmd(m_entries, m_file, size, spiral, fmt):
     """Character generated by a weight matrix."""
-    if size is None:
-        indices = []
-        for spec in m_entries:
-            try:
-                _, pair = spec.split("@")
-                indices.extend(int(x) for x in pair.split(","))
-            except ValueError:
-                raise click.UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
-        if m_file is not None:
-            data = json.loads(FsPath(m_file).read_text())
-            size = len(data["m"])
-        elif indices:
-            size = max(indices)
-        else:
-            raise click.UsageError("give --n when no weight entries are supplied")
     m = _parse_weights(size, m_entries, m_file)
     character = hx.theorem43_character(m) if spiral else st.character_from_weights(m)
     _emit({"chi": list(character.chi)}, [f"chi = {list(character.chi)}"], fmt)

@@ -4,7 +4,6 @@ bookkeeping for the line-bundle data attached to a catalog entry."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from .quiver import (
@@ -16,10 +15,6 @@ from .quiver import (
 from .stability import Character, WeightMatrix, character_from_weights
 
 PicVector = tuple[int, ...]
-
-
-class NotCollinearError(ValueError):
-    """Vectors required to span a single line are not proportional."""
 
 
 def is_chain(q: Quiver) -> bool:
@@ -130,37 +125,3 @@ def check_prop41_degrees(q: Quiver, m: WeightMatrix) -> DegreeCheck:
         q.pic[0][k] - q.pic[q.n - 1][k] - q.canonical[k] for k in range(rank)
     )
     return DegreeCheck(tuple(left) == right, tuple(left), right)
-
-
-@dataclass(frozen=True)
-class LineWitness:
-    """A common line for a batch of vectors, or 'ambiguous' over the origin."""
-
-    ambiguous: bool
-    line: tuple[Fraction, ...] | None = None
-
-
-def common_line(vectors: Sequence[Sequence]) -> LineWitness:
-    """The common line spanned by pairwise-proportional vectors.
-
-    All-zero input is ambiguous (the blow-up fiber over the origin);
-    non-proportional nonzero vectors raise NotCollinearError.  The returned
-    line is scaled so its first nonzero entry is 1.
-    """
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
-        raise ValueError("need at least one vector")
-    dims = {len(v) for v in vecs}
-    if len(dims) != 1:
-        raise ValueError("vectors of mixed dimensions")
-    pivot = next((v for v in vecs if any(x != 0 for x in v)), None)
-    if pivot is None:
-        return LineWitness(ambiguous=True)
-    for v in vecs:
-        # proportionality: all 2x2 minors with the pivot vanish
-        for a, b in zip(pivot, v):
-            for c, d in zip(pivot, v):
-                if a * d != b * c:
-                    raise NotCollinearError(f"vectors {pivot} and {v} are not collinear")
-    lead = next(x for x in pivot if x != 0)
-    return LineWitness(ambiguous=False, line=tuple(x / lead for x in pivot))

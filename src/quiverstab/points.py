@@ -8,11 +8,12 @@ are `fractions.Fraction` throughout and floats are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, as_fraction
 
 
 class PointError(ValueError):
@@ -20,9 +21,10 @@ class PointError(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise PointError("floating point values are not allowed; use Fraction")
-    return Fraction(x)
+    try:
+        return as_fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PointError(f"bad value {x!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,10 @@ class RepresentationPoint:
     """An assignment of an exact rational scalar to every arrow id."""
 
     values: tuple[tuple[str, Fraction], ...]
+    _by_id: dict[str, Fraction] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_id", dict(self.values))
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, object]) -> "RepresentationPoint":
@@ -49,14 +55,15 @@ class RepresentationPoint:
     def zero(cls, q: Quiver) -> "RepresentationPoint":
         return cls.for_quiver(q, {a.id: 0 for a in q.arrows})
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.values)
+    def as_dict(self) -> Mapping[str, Fraction]:
+        """The values by arrow id, read-only."""
+        return MappingProxyType(self._by_id)
 
     def value(self, arrow_id: str) -> Fraction:
-        for k, v in self.values:
-            if k == arrow_id:
-                return v
-        raise PointError(f"no value for arrow {arrow_id!r}")
+        try:
+            return self._by_id[arrow_id]
+        except KeyError:
+            raise PointError(f"no value for arrow {arrow_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,11 +80,6 @@ class TorusElement:
         object.__setattr__(self, "t", tuple(_as_fraction(s) for s in self.t))
         if any(s == 0 for s in self.t):
             raise PointError("torus element entries must be nonzero")
-
-    def compose(self, other: "TorusElement") -> "TorusElement":
-        if len(self.t) != len(other.t):
-            raise PointError("torus elements of different rank")
-        return TorusElement(tuple(a * b for a, b in zip(self.t, other.t)))
 
 
 def evaluate_path(p: RepresentationPoint, path: Path) -> Fraction:
@@ -130,15 +132,12 @@ def point_to_dict(p: RepresentationPoint) -> dict:
 
 def point_from_dict(data: Mapping) -> RepresentationPoint:
     """Values must be integers or rational strings like ``"-3/4"``; floats
-    are rejected."""
+    and booleans are rejected."""
     try:
-        return RepresentationPoint.from_mapping(
-            {str(k): v for k, v in data["values"].items()}
-        )
-    except PointError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        values = {str(k): v for k, v in data["values"].items()}
+    except (AttributeError, KeyError, TypeError) as exc:
         raise PointError(f"malformed point description: {exc!r}") from exc
+    return RepresentationPoint.from_mapping(values)
 
 
 def point_to_json(p: RepresentationPoint) -> str:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 
@@ -45,16 +46,6 @@ def parse_monomial(text: str) -> dict[str, int]:
     return exps
 
 
-def format_monomial(exps: Mapping[str, int]) -> str:
-    if not exps:
-        return "1"
-    parts = []
-    for var in sorted(exps):
-        e = exps[var]
-        parts.append(var if e == 1 else f"{var}^{e}")
-    return "*".join(parts)
-
-
 def monomial_key(exps: Mapping[str, int]) -> tuple:
     """Hashable canonical form of an exponent map."""
     return tuple(sorted((v, e) for v, e in exps.items() if e))
@@ -72,15 +63,19 @@ class Arrow:
     target: int
     weight: int = 0
     label: str | None = None
+    _exponents: dict[str, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight < 0:
             raise QuiverError(f"arrow {self.id}: negative weight {self.weight}")
+        exps = parse_monomial(self.label) if self.label is not None else None
+        object.__setattr__(self, "_exponents", exps)
 
-    def label_exponents(self) -> dict[str, int]:
-        if self.label is None:
+    def label_exponents(self) -> Mapping[str, int]:
+        """The parsed label, read-only."""
+        if self._exponents is None:
             raise QuiverError(f"arrow {self.id} has no monomial label")
-        return parse_monomial(self.label)
+        return MappingProxyType(self._exponents)
 
 
 @dataclass(frozen=True)
@@ -131,11 +126,6 @@ class Path:
                 exps[var] = exps.get(var, 0) + e
         return exps
 
-    def concat(self, other: "Path") -> "Path":
-        if other.source != self.target:
-            raise QuiverError("cannot concatenate: endpoints do not match")
-        return Path(self.base, self.arrows + other.arrows)
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -180,6 +170,9 @@ class Quiver:
     by global sections; it is supplied data, not computed.  ``pic`` holds the
     Picard-lattice degree of each bundle and ``canonical`` the degree of the
     canonical bundle, when known.
+
+    Construction indexes the arrows once: by id, by source in id order, and
+    by the nodes each node reaches along a path of length >= 1.
     """
 
     n: int
@@ -188,6 +181,9 @@ class Quiver:
     gg: tuple[tuple[bool, ...], ...] | None = None
     pic: tuple[tuple[int, ...], ...] | None = None
     canonical: tuple[int, ...] | None = None
+    _by_id: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    _out: dict[int, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
+    _reach: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arrows", tuple(self.arrows))
@@ -198,23 +194,41 @@ class Quiver:
             object.__setattr__(self, "pic", tuple(tuple(int(x) for x in v) for v in self.pic))
         if self.canonical is not None:
             object.__setattr__(self, "canonical", tuple(int(x) for x in self.canonical))
+        self._index()
         self._validate()
 
-    def _validate(self):
+    def _index(self):
         if self.n < 1:
             raise QuiverError("quiver needs at least one node")
-        seen: set[str] = set()
-        for a in self.arrows:
+        nodes = range(1, self.n + 1)
+        by_id: dict[str, Arrow] = {}
+        out: dict[int, list[Arrow]] = {v: [] for v in nodes}
+        for a in sorted(self.arrows, key=lambda a: a.id):
             if not (1 <= a.source <= self.n and 1 <= a.target <= self.n):
                 raise QuiverError(f"arrow {a.id} endpoint out of range 1..{self.n}")
-            if a.id in seen:
+            if a.id in by_id:
                 raise QuiverError(f"duplicate arrow id {a.id}")
-            seen.add(a.id)
-        by_id = {a.id: a for a in self.arrows}
+            by_id[a.id] = a
+            out[a.source].append(a)
+        reach: dict[int, frozenset[int]] = {}
+        for v in nodes:
+            seen: set[int] = set()
+            frontier = [v]
+            while frontier:
+                for a in out[frontier.pop()]:
+                    if a.target not in seen:
+                        seen.add(a.target)
+                        frontier.append(a.target)
+            reach[v] = frozenset(seen)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
+        object.__setattr__(self, "_reach", reach)
+
+    def _validate(self):
         for rel in self.relations:
             for _, p in rel.terms:
                 for a in p.arrows:
-                    if by_id.get(a.id) != a:
+                    if self._by_id.get(a.id) != a:
                         raise QuiverError(f"relation uses arrow {a.id} not in quiver")
         if self.gg is not None:
             if len(self.gg) != self.n or any(len(row) != self.n for row in self.gg):
@@ -237,40 +251,26 @@ class Quiver:
     # -- lookups ------------------------------------------------------------
 
     def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise QuiverError(f"no arrow with id {arrow_id!r}")
+        try:
+            return self._by_id[arrow_id]
+        except KeyError:
+            raise QuiverError(f"no arrow with id {arrow_id!r}") from None
 
-    def outgoing(self, node: int) -> list[Arrow]:
-        return sorted((a for a in self.arrows if a.source == node), key=lambda a: a.id)
+    def outgoing(self, node: int) -> tuple[Arrow, ...]:
+        """Arrows with source ``node``, in id order."""
+        return self._out.get(node, ())
 
     def has_path(self, src: int, dst: int) -> bool:
         """True iff a path of length >= 1 from src to dst exists."""
-        frontier = [a.target for a in self.arrows if a.source == src]
-        seen: set[int] = set()
-        while frontier:
-            v = frontier.pop()
-            if v == dst:
-                return True
-            if v in seen:
-                continue
-            seen.add(v)
-            frontier.extend(a.target for a in self.arrows if a.source == v)
-        return False
+        return dst in self._reach.get(src, ())
 
     def has_cycle(self) -> bool:
-        return any(self.has_path(v, v) for v in range(1, self.n + 1))
+        return any(v in reach for v, reach in self._reach.items())
 
     def globally_generated(self, i: int, j: int) -> bool:
         if self.gg is None:
             raise QuiverError("quiver has no gg table")
         return self.gg[i - 1][j - 1]
-
-    def empty_path(self, node: int) -> Path:
-        if not (1 <= node <= self.n):
-            raise QuiverError(f"node {node} out of range 1..{self.n}")
-        return Path(node)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +280,7 @@ class Quiver:
 
 def arrow_degree(q: Quiver, a: Arrow) -> int:
     """Degree of an arrow: source - target + n * weight."""
-    found = next((b for b in q.arrows if b.id == a.id), None)
-    if found != a:
+    if q._by_id.get(a.id) != a:
         raise QuiverError(f"arrow {a.id!r} does not belong to this quiver")
     return a.source - a.target + q.n * a.weight
 
@@ -457,14 +456,34 @@ def quiver_to_dict(q: Quiver) -> dict:
     }
 
 
+def as_fraction(x) -> Fraction:
+    """An exact rational from an integer, a Fraction or a string like ``"-3/4"``.
+
+    Floats are inexact and a JSON ``true`` is no number, so both raise
+    TypeError; other malformed input raises TypeError, ValueError or
+    ZeroDivisionError.
+    """
+    if isinstance(x, (float, bool)):
+        raise TypeError("floats and booleans are not exact; use an integer or a string like '3/4'")
+    return Fraction(x)
+
+
+def _as_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def quiver_from_dict(data: Mapping) -> Quiver:
+    """Integer fields take JSON integers only and relation coefficients
+    follow ``as_fraction``; any malformed field raises QuiverError."""
     try:
         arrows = tuple(
             Arrow(
                 id=str(a["id"]),
-                source=int(a["source"]),
-                target=int(a["target"]),
-                weight=int(a.get("r", 0)),
+                source=_as_int(a["source"]),
+                target=_as_int(a["target"]),
+                weight=_as_int(a.get("r", 0)),
                 label=a.get("label"),
             )
             for a in data["arrows"]
@@ -476,18 +495,23 @@ def quiver_from_dict(data: Mapping) -> Quiver:
             for t in rel["terms"]:
                 ids = [str(x) for x in t["path"]]
                 path = Path(by_id[ids[0]].source, tuple(by_id[x] for x in ids))
-                terms.append((Fraction(t["coeff"]), path))
+                terms.append((as_fraction(t["coeff"]), path))
             relations.append(Relation(tuple(terms)))
+        pic, canonical = data.get("pic"), data.get("canonical")
         return Quiver(
-            n=int(data["n"]),
+            n=_as_int(data["n"]),
             arrows=arrows,
             relations=tuple(relations),
             gg=data.get("gg"),
-            pic=data.get("pic"),
-            canonical=data.get("canonical"),
+            pic=None if pic is None else [[_as_int(x) for x in v] for v in pic],
+            canonical=None if canonical is None else [_as_int(x) for x in canonical],
         )
-    except (KeyError, TypeError) as exc:
-        raise QuiverError(f"malformed quiver description: {exc}") from exc
+    except QuiverError:
+        raise
+    except (
+        AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
+        raise QuiverError(f"malformed quiver description: {exc!r}") from exc
 
 
 def quiver_to_json(q: Quiver) -> str:

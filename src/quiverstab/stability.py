@@ -17,11 +17,11 @@ from typing import Iterable
 from .points import RepresentationPoint, satisfies_relations
 from .quiver import Quiver, QuiverError
 
-DEFAULT_ENUMERATION_CAP = 20
+ENUMERATION_CAP = 20
 
 
 class EnumerationCapError(ValueError):
-    """Subset enumeration was requested beyond the configured node cap."""
+    """Subset enumeration was requested for more than ENUMERATION_CAP nodes."""
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,6 @@ class WeightMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.m[i - 1][j - 1]
 
-    def incremented(self, i: int, j: int, by: int = 1) -> "WeightMatrix":
-        rows = [list(row) for row in self.m]
-        rows[i - 1][j - 1] += by
-        return WeightMatrix(tuple(tuple(row) for row in rows))
-
 
 @dataclass(frozen=True)
 class SupportFamily:
@@ -142,21 +137,17 @@ def _nonzero_arrows(q: Quiver, p: RepresentationPoint):
         raise ValueError(f"point is missing a value for arrow {exc.args[0]!r}") from None
 
 
-def subrep_supports(
-    q: Quiver,
-    p: RepresentationPoint,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    warn: bool = True,
-) -> SupportFamily:
-    """Exact support family via enumeration of all 2^n node subsets.
+def subrep_supports(q: Quiver, p: RepresentationPoint, warn: bool = True) -> SupportFamily:
+    """Exact support family via enumeration of all 2^n node subsets, for
+    n <= ENUMERATION_CAP.
 
     With ``warn``, a point that violates the quiver relations triggers a
-    warning.  The verdict routines below pass ``warn=False``: the supports do
+    warning.  ``stability_report`` passes ``warn=False``: the supports do
     not depend on the relations, and callers that care check them once.
     """
-    if q.n > cap:
+    if q.n > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"subset enumeration over {q.n} nodes exceeds the cap of {cap}"
+            f"subset enumeration over {q.n} nodes exceeds the cap of {ENUMERATION_CAP}"
         )
     if warn and not satisfies_relations(q, p):
         warnings.warn("point does not satisfy the quiver relations", stacklevel=2)
@@ -169,33 +160,27 @@ def subrep_supports(
     return SupportFamily(q.n, frozenset(supports))
 
 
-def support_generators(q: Quiver, p: RepresentationPoint) -> dict[int, frozenset[int]]:
-    """Reachability closure of each single node along nonzero arrows.
-
-    The closure of {v} is the smallest support containing v; every support is
-    a union of these generators.
-    """
-    nonzero = _nonzero_arrows(q, p)
-    out: dict[int, frozenset[int]] = {}
-    for v in range(1, q.n + 1):
-        closure = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for a in nonzero:
-                if a.source == u and a.target not in closure:
-                    closure.add(a.target)
-                    frontier.append(a.target)
-        out[v] = frozenset(closure)
-    return out
-
-
 def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily:
     """Support family as the union-closure of the single-node generators.
 
-    Independent of the 2^n enumeration; used as a cross-check oracle.
+    The generator of node v is the set of nodes reachable from v along
+    nonzero arrows, the smallest support containing v; every support is a
+    union of generators.  Independent of the 2^n enumeration; used as a
+    cross-check oracle.
     """
-    gens = list(support_generators(q, p).values())
+    targets: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
+    for a in _nonzero_arrows(q, p):
+        targets[a.source].append(a.target)
+    gens = []
+    for v in targets:
+        closure = {v}
+        frontier = [v]
+        while frontier:
+            for w in targets[frontier.pop()]:
+                if w not in closure:
+                    closure.add(w)
+                    frontier.append(w)
+        gens.append(frozenset(closure))
     family = {frozenset()}
     frontier = [frozenset()]
     while frontier:
@@ -211,43 +196,6 @@ def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
-
-
-def _check_character(q: Quiver, chi: Character):
-    if chi.n != q.n:
-        raise ValueError(f"character length {chi.n} != n = {q.n}")
-    if any(a != 1 for a in chi.alpha):
-        raise ValueError("stability tests support only the all-ones dimension vector")
-
-
-def violating_support(
-    q: Quiver, p: RepresentationPoint, chi: Character, cap: int = DEFAULT_ENUMERATION_CAP
-) -> frozenset[int] | None:
-    """A support with chi_S > 0, or None if the point is chi-semistable."""
-    _check_character(q, chi)
-    fam = subrep_supports(q, p, cap=cap, warn=False)
-    worst = max(fam.sorted_supports(), key=lambda s: (chi.of_subset(s), -len(s)))
-    if chi.of_subset(worst) > 0:
-        return worst
-    return None
-
-
-def is_semistable(
-    q: Quiver, p: RepresentationPoint, chi: Character, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    return violating_support(q, p, chi, cap=cap) is None
-
-
-def is_stable(
-    q: Quiver, p: RepresentationPoint, chi: Character, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """Semistable, with chi_S = 0 only for the empty and full supports."""
-    _check_character(q, chi)
-    fam = subrep_supports(q, p, cap=cap, warn=False)
-    for s in fam.proper():
-        if chi.of_subset(s) >= 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -268,23 +216,22 @@ class StabilityReport:
         }
 
 
-def stability_report(
-    q: Quiver, p: RepresentationPoint, chi: Character, cap: int = DEFAULT_ENUMERATION_CAP
-) -> StabilityReport:
-    _check_character(q, chi)
-    fam = subrep_supports(q, p, cap=cap, warn=False)
-    violating = None
-    semistable = True
-    stable = True
-    for s in fam.proper():
-        v = chi.of_subset(s)
-        if v > 0 and violating is None:
-            violating = tuple(sorted(s))
-        if v > 0:
-            semistable = False
-        if v >= 0:
-            stable = False
-    return StabilityReport(semistable, stable, violating, len(fam.supports))
+def stability_report(q: Quiver, p: RepresentationPoint, chi: Character) -> StabilityReport:
+    """King's test: the point is chi-semistable iff chi_S <= 0 on every
+    support, and chi-stable iff chi_S < 0 on every proper one.
+
+    The witness ``violating_support`` is the first proper support, in
+    canonical order, with chi_S > 0.
+    """
+    if chi.n != q.n:
+        raise ValueError(f"character length {chi.n} != n = {q.n}")
+    if any(a != 1 for a in chi.alpha):
+        raise ValueError("stability tests support only the all-ones dimension vector")
+    fam = subrep_supports(q, p, warn=False)
+    values = [(chi.of_subset(s), s) for s in fam.proper()]
+    violating = next((tuple(sorted(s)) for v, s in values if v > 0), None)
+    stable = all(v < 0 for v, _ in values)
+    return StabilityReport(violating is None, stable, violating, len(fam.supports))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ from quiverstab.stability import (
     WeightMatrix,
     certify_great,
     character_from_weights,
-    is_semistable,
-    is_stable,
+    stability_report,
     subrep_supports,
     supports_from_generators,
 )
@@ -89,7 +88,7 @@ def test_criterion_1_f1_certified_character_and_stability():
         rng = random.Random(2024)
         for _ in range(1000):
             p = tautological_point(f1, sample_cox_values(f1, rng))
-            assert is_stable(f1.quiver, p, chi)
+            assert stability_report(f1.quiver, p, chi).stable
 
 
 def test_criterion_2_p2_relations_certificates_and_degrees():
@@ -137,8 +136,9 @@ def test_criterion_3_support_oracle_agreement():
                     if k < 3:  # library entry points re-enumerate; spot-check them
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")
-                            assert is_semistable(q, p, chi) == semistable
-                            assert is_stable(q, p, chi) == stable
+                            report = stability_report(q, p, chi)
+                            assert report.semistable == semistable
+                            assert report.stable == stable
 
 
 def test_criterion_4_trivial_character():
@@ -151,9 +151,10 @@ def test_criterion_4_trivial_character():
                 p = _random_point(q, rng)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    assert is_semistable(q, p, zero)
+                    report = stability_report(q, p, zero)
+                    assert report.semistable
                     fam = subrep_supports(q, p, warn=False)
-                    assert is_stable(q, p, zero) == (not fam.proper())
+                    assert report.stable == (not fam.proper())
 
 
 def test_criterion_5_torus_invariance():
@@ -177,8 +178,9 @@ def test_criterion_5_torus_invariance():
                 chi = _random_character(q.n, rng)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    assert is_semistable(q, p, chi) == is_semistable(q, acted, chi)
-                    assert is_stable(q, p, chi) == is_stable(q, acted, chi)
+                    before = stability_report(q, p, chi)
+                    after = stability_report(q, acted, chi)
+                    assert (before.semistable, before.stable) == (after.semistable, after.stable)
                 assert invariant_vector(cycles, p) == invariant_vector(cycles, acted)
 
 

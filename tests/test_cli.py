@@ -155,7 +155,7 @@ class TestCheckCommand:
         assert result.exit_code == 0, result.output
         assert calls == [5]
 
-    @pytest.mark.parametrize("value", [0.5, "1/0"])
+    @pytest.mark.parametrize("value", [0.5, "1/0", True])
     def test_bad_point_value_exits_2(self, runner, tmp_path, value):
         point = tmp_path / "p.json"
         values = {f"a{j}_{k}": "1" for j in ("21", "32") for k in (1, 2, 3)}
@@ -250,6 +250,15 @@ class TestCertifyCommand:
         assert result.exit_code == 2
 
 
+    def test_m_file_of_wrong_size(self, runner, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"m": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}))
+        result = runner.invoke(main, ["certify", "--example", "f1", "--m-file", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "weight matrix size 3 != 4 nodes" in result.output
+
+
 class TestCharacterCommand:
     def test_plain(self, runner):
         result = runner.invoke(main, ["character", "--m", "1@1,4", "--m", "1@2,3"])
@@ -265,6 +274,23 @@ class TestCharacterCommand:
     def test_spiral_zero_matrix(self, runner):
         result = runner.invoke(main, ["character", "--n", "3", "--spiral"])
         assert "chi = [-1, 0, 1]" in result.output
+
+    @pytest.mark.parametrize("content", ["[[0, 1], [0, 0]]", None])
+    def test_bad_m_file_exits_2(self, runner, tmp_path, content):
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_text(content)
+        result = runner.invoke(main, ["character", "--m-file", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "bad weight file" in result.output
+
+    def test_m_file_infers_size(self, runner, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"m": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}))
+        result = runner.invoke(main, ["character", "--m-file", str(path), "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"chi": [-1, 1, 0]}
 
     def test_needs_size(self, runner):
         result = runner.invoke(main, ["character"])
@@ -362,6 +388,34 @@ class TestQuiverFiles:
         path.write_text("{not json")
         result = runner.invoke(main, ["cycles", "--quiver", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", "three"),
+            ("n", 3.0),
+            ("arrows.0.r", 1.5),
+            ("arrows.0.source", True),
+            ("arrows.0.label", 5),
+            ("relations.0.terms.0.coeff", "1/0"),
+            ("relations.0.terms.0.coeff", 1.0),
+            ("relations.0.terms.0.path", []),
+            ("pic.0", ["zero"]),
+        ],
+    )
+    def test_malformed_field_exits_2(self, runner, tmp_path, field, value):
+        data = json.loads(runner.invoke(main, ["catalog", "p2"]).output)
+        *keys, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["cycles", "--quiver", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "malformed quiver description" in result.output
 
     def test_catalog_env_fallback(self, runner, tmp_path, monkeypatch):
         export = runner.invoke(main, ["catalog", "p2"])

@@ -5,10 +5,7 @@ import pytest
 
 from quiverstab.catalog import get_entry, sample_geometric_point, tautological_point
 from quiverstab.helix import (
-    LineWitness,
-    NotCollinearError,
     check_prop41_degrees,
-    common_line,
     e_chi_degree,
     extend_spiral,
     is_chain,
@@ -102,9 +99,8 @@ class TestTheorem43Character:
                 if i != j
             }
             m = WeightMatrix.from_entries(n, entries)
-            assert theorem43_character(m) == character_from_weights(
-                m.incremented(1, n)
-            )
+            shifted = WeightMatrix.from_entries(n, {**entries, (1, n): entries[(1, n)] + 1})
+            assert theorem43_character(m) == character_from_weights(shifted)
 
 
 class TestEChiDegree:
@@ -152,27 +148,6 @@ class TestDegreeCheck:
         q = Quiver(n=2, arrows=(Arrow("a", 2, 1),))
         with pytest.raises(QuiverError):
             check_prop41_degrees(q, WeightMatrix.zero(2))
-
-
-class TestCommonLine:
-    def test_single_vector(self):
-        w = common_line([(2, 4)])
-        assert w == LineWitness(ambiguous=False, line=(Fraction(1), Fraction(2)))
-
-    def test_proportional_batch(self):
-        w = common_line([(0, 0), (1, 2), (Fraction(1, 2), 1)])
-        assert w.line == (Fraction(1), Fraction(2))
-
-    def test_all_zero_is_ambiguous(self):
-        assert common_line([(0, 0), (0, 0)]).ambiguous
-
-    def test_non_collinear_raises(self):
-        with pytest.raises(NotCollinearError):
-            common_line([(1, 0), (0, 1)])
-
-    def test_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            common_line([(1,), (1, 2)])
 
 
 class TestProjectionToBase:

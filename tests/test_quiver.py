@@ -115,7 +115,13 @@ class TestEnumeratePaths:
         q = chain3()
         left = enumerate_paths(q, 3, 2, 1)
         right = enumerate_paths(q, 2, 1, 1)
-        composites = {p.concat(r).arrow_ids() for p in left if len(p) == 1 for r in right if len(r) == 1}
+        composites = {
+            Path(3, p.arrows + r.arrows).arrow_ids()
+            for p in left
+            if len(p) == 1
+            for r in right
+            if len(r) == 1
+        }
         length2 = {p.arrow_ids() for p in enumerate_paths(q, 3, 1, 2) if len(p) == 2}
         assert composites <= length2
         assert len(composites) == 9
@@ -230,7 +236,7 @@ def _tautological(entry, rng):
 
 def _perturbed(entry, rng):
     """A tautological point with one arrow value changed."""
-    values = _tautological(entry, rng).as_dict()
+    values = dict(_tautological(entry, rng).as_dict())
     arrow = rng.choice(entry.quiver.arrows).id
     old = values[arrow]
     while values[arrow] == old:
@@ -306,6 +312,71 @@ class TestMinimalRelations:
         pairs = {tuple(p.arrow_ids() for _, p in rel.terms) for rel in q.relations}
         assert (("a43_2", "a32_2"), ("a43_3", "a32_1")) in pairs
         assert (("a43_2", "a32_2", "a21_1"), ("a43_3", "a32_1", "a21_1")) not in pairs
+
+
+def bfs_has_path(q, src, dst):
+    """Oracle: a breadth-first search over the arrow list on every call."""
+    frontier = [a.target for a in q.arrows if a.source == src]
+    seen: set[int] = set()
+    while frontier:
+        v = frontier.pop()
+        if v == dst:
+            return True
+        if v in seen:
+            continue
+        seen.add(v)
+        frontier.extend(a.target for a in q.arrows if a.source == v)
+    return False
+
+
+def sorted_outgoing(q, node):
+    """Oracle: the arrows out of a node, sorted by id on every call."""
+    return sorted((a for a in q.arrows if a.source == node), key=lambda a: a.id)
+
+
+def _random_quiver(rng):
+    n = rng.randint(1, 7)
+    count = rng.randint(0, 12)
+    # ids a0..a11 sort as strings, so a10 comes before a2
+    arrows = [Arrow(f"a{k}", rng.randint(1, n), rng.randint(1, n)) for k in range(count)]
+    rng.shuffle(arrows)
+    return Quiver(n=n, arrows=tuple(arrows))
+
+
+class TestIndices:
+    """The indices built at construction against scans of the arrow list."""
+
+    @staticmethod
+    def _check(q):
+        for a in q.arrows:
+            assert q.arrow(a.id) is a
+        for v in range(q.n + 2):  # nodes 0 and n + 1 are out of range
+            assert list(q.outgoing(v)) == sorted_outgoing(q, v)
+            for w in range(q.n + 2):
+                assert q.has_path(v, w) == bfs_has_path(q, v, w)
+        assert q.has_cycle() == any(bfs_has_path(q, v, v) for v in range(1, q.n + 1))
+
+    @pytest.mark.parametrize(
+        "name", ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)", "pn(4)"]
+    )
+    def test_catalog_entry(self, name):
+        self._check(get_entry(name).quiver)
+
+    def test_random_quivers(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            self._check(_random_quiver(rng))
+
+    def test_unknown_arrow(self):
+        with pytest.raises(QuiverError):
+            chain3().arrow("nope")
+
+    def test_labels_parsed_at_construction(self):
+        with pytest.raises(QuiverError):
+            Arrow("a", 2, 1, label="x+y")
+        q = get_entry("f1").quiver
+        path = Path(4, (q.arrow("a43_2"), q.arrow("a32_1")))
+        assert path.label_exponents() == {"t1": 2, "t2": 1}
 
 
 class TestQuiverValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
 from quiverstab.points import RepresentationPoint, TorusElement, torus_act
-from quiverstab.quiver import QuiverError
+from quiverstab.quiver import Arrow, Quiver, QuiverError
 from quiverstab.stability import (
     Character,
     EnumerationCapError,
@@ -14,8 +14,6 @@ from quiverstab.stability import (
     certify_good,
     certify_great,
     character_from_weights,
-    is_semistable,
-    is_stable,
     stability_cone,
     stability_report,
     subrep_supports,
@@ -101,8 +99,12 @@ class TestSubrepSupports:
         }
 
     def test_capacity_error(self):
+        q = Quiver(n=21, arrows=tuple(Arrow(f"a{j}", j, j - 1) for j in range(2, 22)))
+        p = RepresentationPoint.zero(q)
         with pytest.raises(EnumerationCapError):
-            subrep_supports(P2.quiver, RepresentationPoint.zero(P2.quiver), cap=2)
+            subrep_supports(q, p)
+        with pytest.raises(EnumerationCapError):
+            stability_report(q, p, Character((-1,) + (0,) * 19 + (1,)))
 
     def test_family_contains_extremes(self):
         with pytest.raises(ValueError):
@@ -136,33 +138,50 @@ class TestStability:
         zero = Character((0, 0, 0))
         for _ in range(25):
             p = random_point(P2.quiver, rng)
-            assert is_semistable(P2.quiver, p, zero)
+            assert stability_report(P2.quiver, p, zero).semistable
 
     def test_p2_unit_point_stable(self):
         p = p2_point((1, 0, 0), (1, 0, 0))
         chi = Character((-1, 0, 1))
-        assert is_semistable(P2.quiver, p, chi)
-        assert is_stable(P2.quiver, p, chi)
+        report = stability_report(P2.quiver, p, chi)
+        assert report.semistable
+        assert report.stable
 
     def test_zero_character_never_stable_with_proper_support(self):
         p = p2_point((1, 0, 0), (1, 0, 0))
-        assert not is_stable(P2.quiver, p, Character((0, 0, 0)))
+        assert not stability_report(P2.quiver, p, Character((0, 0, 0))).stable
 
     def test_zero_point_unstable(self):
         p = RepresentationPoint.zero(P2.quiver)
         chi = Character((-1, 0, 1))
-        assert not is_semistable(P2.quiver, p, chi)
         report = stability_report(P2.quiver, p, chi)
+        assert not report.semistable
         assert report.violating_support is not None
         assert chi.of_subset(report.violating_support) > 0
+
+    @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1", "p2-helix"])
+    def test_report_against_generator_family(self, name):
+        # The report's verdicts and witness, recomputed on the generator oracle.
+        q = get_entry(name).quiver
+        rng = random.Random(name)
+        for _ in range(40):
+            p = random_point(q, rng)
+            chi = random_character(q.n, rng)
+            proper = supports_from_generators(q, p).proper()
+            positive = [tuple(sorted(s)) for s in proper if chi.of_subset(s) > 0]
+            report = stability_report(q, p, chi)
+            assert report.semistable == (not positive)
+            assert report.stable == all(chi.of_subset(s) < 0 for s in proper)
+            assert report.violating_support == (positive[0] if positive else None)
 
     def test_stable_implies_semistable(self):
         rng = random.Random(13)
         for _ in range(30):
             p = random_point(P2.quiver, rng)
             chi = random_character(3, rng)
-            if is_stable(P2.quiver, p, chi):
-                assert is_semistable(P2.quiver, p, chi)
+            report = stability_report(P2.quiver, p, chi)
+            if report.stable:
+                assert report.semistable
 
     def test_torus_invariance_of_verdicts(self):
         rng = random.Random(17)
@@ -173,8 +192,9 @@ class TestStability:
                 *[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
             )
             acted = torus_act(F1.quiver, p, g)
-            assert is_semistable(F1.quiver, p, chi) == is_semistable(F1.quiver, acted, chi)
-            assert is_stable(F1.quiver, p, chi) == is_stable(F1.quiver, acted, chi)
+            before = stability_report(F1.quiver, p, chi)
+            after = stability_report(F1.quiver, acted, chi)
+            assert (before.semistable, before.stable) == (after.semistable, after.stable)
 
     def test_f1_tautological_points_stable(self):
         chi = Character((-1, -1, 1, 1))
@@ -182,7 +202,7 @@ class TestStability:
         for _ in range(50):
             cox = sample_cox_values(F1, rng)
             p = tautological_point(F1, cox)
-            assert is_stable(F1.quiver, p, chi)
+            assert stability_report(F1.quiver, p, chi).stable
 
 
 class TestCharacterFromWeights:
@@ -273,9 +293,10 @@ class TestCertificates:
                 chi = character_from_weights(m)
                 for _ in range(10):
                     p = tautological_point(entry, sample_cox_values(entry, rng))
-                    assert is_semistable(entry.quiver, p, chi)
+                    report = stability_report(entry.quiver, p, chi)
+                    assert report.semistable
                     if great.certified:
-                        assert is_stable(entry.quiver, p, chi)
+                        assert report.stable
 
 
 class TestStabilityCone:
