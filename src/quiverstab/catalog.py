@@ -24,6 +24,7 @@ from .quiver import (
     Arrow,
     Quiver,
     QuiverError,
+    as_fraction,
     derive_binomial_relations,
     enumerate_paths,
     grading_certificate,
@@ -391,16 +392,17 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def _coerce_cox(entry: CatalogEntry, cox_values) -> dict[str, Fraction]:
+    """Coordinates by variable name; values follow ``as_fraction``."""
     names = entry.var_names
     if isinstance(cox_values, Mapping):
-        vals = {str(k): Fraction(v) for k, v in cox_values.items()}
+        vals = {str(k): as_fraction(v) for k, v in cox_values.items()}
     else:
         seq = list(cox_values)
         if len(seq) != len(names):
             raise ValueError(
                 f"expected {len(names)} coordinates ({', '.join(names)}), got {len(seq)}"
             )
-        vals = {name: Fraction(v) for name, v in zip(names, seq)}
+        vals = {name: as_fraction(v) for name, v in zip(names, seq)}
     if set(vals) != set(names):
         raise ValueError(f"coordinates must be exactly {names}")
     return vals
@@ -420,7 +422,8 @@ def tautological_point(
     """Evaluate every arrow label at the given homogeneous coordinates.
 
     Weight-r arrows pick up an extra factor fiber_value ** r; the fiber value
-    is required exactly for total-space entries.
+    is required exactly for total-space entries.  Coordinates and the fiber
+    value follow ``as_fraction``.
     """
     vals = _coerce_cox(entry, cox_values)
     check_irrelevant_locus(entry, vals)
@@ -428,7 +431,7 @@ def tautological_point(
         raise ValueError(f"{entry.name}: a fiber value is required")
     if not entry.fiber and fiber_value is not None:
         raise ValueError(f"{entry.name}: entry has no fiber coordinate")
-    fiber = Fraction(fiber_value) if fiber_value is not None else None
+    fiber = as_fraction(fiber_value) if fiber_value is not None else None
     out = {}
     for a in entry.quiver.arrows:
         v = Fraction(1)
@@ -502,7 +505,7 @@ def canonical_geometric_form(entry: CatalogEntry, cox_values, fiber_value=None):
         out.append(scaled)
     fiber = None
     if fiber_value is not None:
-        fiber = Fraction(fiber_value)
+        fiber = as_fraction(fiber_value)
         canonical = entry.quiver.canonical
         for g in range(rank):
             fiber *= scales[g] ** canonical[g]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from pathlib import Path as FsPath
 
 import click
@@ -28,19 +27,22 @@ class DomainError(click.ClickException):
     exit_code = 1
 
 
+def _read_json(path, what: str, build):
+    """``build`` applied to the JSON value in a file.  An unreadable file,
+    invalid or too deeply nested JSON, and any value ``build`` rejects exit 2
+    as ``bad {what}``."""
+    try:
+        return build(json.loads(FsPath(path).read_text()))
+    except (LookupError, OSError, RecursionError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad {what}: {exc}")
+
+
 def _load_quiver(example: str | None, quiver_path: str | None):
     """Resolve the quiver (and catalog entry, if any) from the CLI options."""
     if (example is None) == (quiver_path is None):
         raise click.UsageError("give exactly one of --example or --quiver")
     if quiver_path is not None:
-        try:
-            text = FsPath(quiver_path).read_text()
-        except OSError as exc:
-            raise click.UsageError(f"cannot read {quiver_path}: {exc}")
-        try:
-            return qv.quiver_from_json(text), None
-        except qv.QuiverError as exc:
-            raise click.UsageError(str(exc))
+        return _read_json(quiver_path, "quiver file", qv.quiver_from_dict), None
     try:
         entry = cat.get_entry(example)
         return entry.quiver, entry
@@ -50,40 +52,22 @@ def _load_quiver(example: str | None, quiver_path: str | None):
     if root:
         path = FsPath(root) / f"{example}.json"
         if path.exists():
-            try:
-                return qv.quiver_from_json(path.read_text()), None
-            except qv.QuiverError as exc:
-                raise click.UsageError(str(exc))
+            return _read_json(path, "quiver file", qv.quiver_from_dict), None
     raise click.UsageError(
         f"unknown example {example!r}; built-ins are {', '.join(cat.entry_names())}"
     )
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"bad rational {text!r}: {exc}")
 
 
 def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
     if (chi is None) == (chi_file is None):
         raise click.UsageError("give exactly one of --chi or --chi-file")
     if chi_file is not None:
-        try:
-            data = json.loads(FsPath(chi_file).read_text())
-            values = [int(x) for x in data["chi"]]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(f"bad character file: {exc}")
+        character = _read_json(chi_file, "character file", lambda data: st.Character(data["chi"]))
     else:
         try:
-            values = [int(x) for x in chi.split(",")]
+            character = st.Character([int(x) for x in chi.split(",")])
         except ValueError as exc:
             raise click.UsageError(f"bad character {chi!r}: {exc}")
-    try:
-        character = st.Character(tuple(values))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     if character.n != q.n:
         raise click.UsageError(f"character length {character.n} != quiver nodes {q.n}")
     return character
@@ -95,11 +79,7 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
     if m_entries and m_file:
         raise click.UsageError("give --m entries or --m-file, not both")
     if m_file is not None:
-        try:
-            data = json.loads(FsPath(m_file).read_text())
-            m = st.WeightMatrix(tuple(tuple(int(x) for x in row) for row in data["m"]))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(f"bad weight file: {exc}")
+        m = _read_json(m_file, "weight file", lambda data: st.WeightMatrix(data["m"]))
         if n is not None and m.n != n:
             raise click.UsageError(f"weight matrix size {m.n} != {n} nodes")
         return m
@@ -130,17 +110,15 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
     if (point_path is None) == (taut is None):
         raise click.UsageError("give exactly one of --point or --taut")
     if point_path is not None:
-        try:
-            p = pts.point_from_json(FsPath(point_path).read_text())
-            return pts.RepresentationPoint.for_quiver(q, p.as_dict())
-        except (OSError, pts.PointError) as exc:
-            raise click.UsageError(f"bad point file: {exc}")
+        return _read_json(
+            point_path,
+            "point file",
+            lambda data: pts.RepresentationPoint.for_quiver(q, pts.point_from_dict(data).as_dict()),
+        )
     if entry is None:
         raise click.UsageError("--taut needs a catalog --example with coordinate data")
-    coords = [_parse_rational(x) for x in taut.split(":")]
-    fiber_value = _parse_rational(fiber) if fiber is not None else None
     try:
-        return cat.tautological_point(entry, coords, fiber_value)
+        return cat.tautological_point(entry, taut.split(":"), fiber)
     except cat.IrrelevantLocusError as exc:
         raise DomainError(str(exc))
     except ValueError as exc:

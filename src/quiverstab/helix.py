@@ -22,18 +22,12 @@ def is_chain(q: Quiver) -> bool:
     return all(a.weight == 0 and a.source == a.target + 1 for a in q.arrows)
 
 
-def extend_spiral(
-    q: Quiver,
-    added_dim: int,
-    labels: Sequence[str] | None = None,
-    rederive_relations: bool | None = None,
-) -> Quiver:
+def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None) -> Quiver:
     """Extend a chain quiver by added_dim weight-1 arrows from node 1 to node n.
 
     The new arrows all have path-algebra degree 1 - n + n = 1, so the grading
-    certificate survives the extension.  When labels are supplied (or every
-    old arrow already carries one and labels are given for the new arrows),
-    the binomial relations are re-derived for the extended quiver.
+    certificate survives the extension.  When every arrow of the extended
+    quiver carries a label, the binomial relations are derived again for it.
     """
     if not is_chain(q):
         raise QuiverError("spiral extension needs a chain quiver")
@@ -59,9 +53,7 @@ def extend_spiral(
         pic=q.pic,
         canonical=q.canonical,
     )
-    if rederive_relations is None:
-        rederive_relations = all(a.label is not None for a in extended.arrows)
-    if rederive_relations:
+    if all(a.label is not None for a in extended.arrows):
         extended = replace(
             extended, relations=tuple(derive_binomial_relations(extended))
         )

@@ -23,23 +23,26 @@ class PointError(ValueError):
 def _as_fraction(x) -> Fraction:
     try:
         return as_fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise PointError(f"bad value {x!r}: {exc}") from None
+    except ValueError as exc:
+        raise PointError(f"bad value: {exc}") from None
 
 
 @dataclass(frozen=True)
 class RepresentationPoint:
-    """An assignment of an exact rational scalar to every arrow id."""
+    """An assignment of an exact rational scalar to every arrow id; values
+    follow ``as_fraction``."""
 
     values: tuple[tuple[str, Fraction], ...]
     _by_id: dict[str, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", dict(self.values))
+        values = tuple((k, _as_fraction(v)) for k, v in self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_by_id", dict(values))
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, object]) -> "RepresentationPoint":
-        return cls(tuple(sorted((k, _as_fraction(v)) for k, v in values.items())))
+        return cls(tuple(sorted(values.items())))
 
     @classmethod
     def for_quiver(cls, q: Quiver, values: Mapping[str, object]) -> "RepresentationPoint":
@@ -74,7 +77,7 @@ class TorusElement:
 
     @classmethod
     def of(cls, *scalars) -> "TorusElement":
-        return cls(tuple(_as_fraction(s) for s in scalars))
+        return cls(scalars)
 
     def __post_init__(self):
         object.__setattr__(self, "t", tuple(_as_fraction(s) for s in self.t))
@@ -131,8 +134,8 @@ def point_to_dict(p: RepresentationPoint) -> dict:
 
 
 def point_from_dict(data: Mapping) -> RepresentationPoint:
-    """Values must be integers or rational strings like ``"-3/4"``; floats
-    and booleans are rejected."""
+    """Values follow ``as_fraction``: integers or rational strings like
+    ``"-3/4"``."""
     try:
         values = {str(k): v for k, v in data["values"].items()}
     except (AttributeError, KeyError, TypeError) as exc:

@@ -52,12 +52,49 @@ def monomial_key(exps: Mapping[str, int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# exact numbers
+# ---------------------------------------------------------------------------
+
+
+def _as_bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a boolean")
+    return x
+
+
+def as_int(x) -> int:
+    """An exact integer: a Python or JSON integer, never a boolean or float.
+
+    Every malformed value raises ValueError.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def as_fraction(x) -> Fraction:
+    """An exact rational from an integer, a Fraction or a string like ``"-3/4"``.
+
+    Floats are inexact and a JSON ``true`` is no number; they and every
+    other malformed value raise ValueError.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise ValueError(f"{x!r} is not exact; use an integer or a string like '3/4'")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{x!r} is not a rational: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Arrow:
+    """An arrow; ``source``, ``target`` and ``weight`` follow ``as_int``."""
+
     id: str
     source: int
     target: int
@@ -66,8 +103,12 @@ class Arrow:
     _exponents: dict[str, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.weight < 0:
+        as_int(self.source)
+        as_int(self.target)
+        if as_int(self.weight) < 0:
             raise QuiverError(f"arrow {self.id}: negative weight {self.weight}")
+        if not isinstance(self.label, (str, type(None))):
+            raise TypeError(f"arrow {self.id}: label {self.label!r} is not a string")
         exps = parse_monomial(self.label) if self.label is not None else None
         object.__setattr__(self, "_exponents", exps)
 
@@ -129,7 +170,8 @@ class Path:
 
 @dataclass(frozen=True)
 class Relation:
-    """A rational linear combination of paths sharing source and target.
+    """A rational linear combination of paths sharing source and target;
+    coefficients follow ``as_fraction``.
 
     Admissibility requires every path to have length at least two and at
     least one coefficient to be nonzero.
@@ -138,7 +180,7 @@ class Relation:
     terms: tuple[tuple[Fraction, Path], ...]
 
     def __post_init__(self):
-        terms = tuple((Fraction(c), p) for c, p in self.terms)
+        terms = tuple((as_fraction(c), p) for c, p in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise QuiverError("relation has no terms")
@@ -173,6 +215,9 @@ class Quiver:
 
     Construction indexes the arrows once: by id, by source in id order, and
     by the nodes each node reaches along a path of length >= 1.
+
+    ``n``, ``pic`` and ``canonical`` follow ``as_int``; ``gg`` entries must
+    be booleans.
     """
 
     n: int
@@ -188,12 +233,13 @@ class Quiver:
     def __post_init__(self):
         object.__setattr__(self, "arrows", tuple(self.arrows))
         object.__setattr__(self, "relations", tuple(self.relations))
+        as_int(self.n)
         if self.gg is not None:
-            object.__setattr__(self, "gg", tuple(tuple(bool(x) for x in row) for row in self.gg))
+            object.__setattr__(self, "gg", tuple(tuple(map(_as_bool, row)) for row in self.gg))
         if self.pic is not None:
-            object.__setattr__(self, "pic", tuple(tuple(int(x) for x in v) for v in self.pic))
+            object.__setattr__(self, "pic", tuple(tuple(map(as_int, v)) for v in self.pic))
         if self.canonical is not None:
-            object.__setattr__(self, "canonical", tuple(int(x) for x in self.canonical))
+            object.__setattr__(self, "canonical", tuple(map(as_int, self.canonical)))
         self._index()
         self._validate()
 
@@ -425,7 +471,7 @@ def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[
     for key in sorted(groups, key=str):
         first, *rest = _component_leaders(sorted(groups[key], key=Path.arrow_ids))
         for other in rest:
-            relations.append(Relation(((Fraction(1), first), (Fraction(-1), other))))
+            relations.append(Relation(((1, first), (-1, other))))
     return relations
 
 
@@ -456,36 +502,12 @@ def quiver_to_dict(q: Quiver) -> dict:
     }
 
 
-def as_fraction(x) -> Fraction:
-    """An exact rational from an integer, a Fraction or a string like ``"-3/4"``.
-
-    Floats are inexact and a JSON ``true`` is no number, so both raise
-    TypeError; other malformed input raises TypeError, ValueError or
-    ZeroDivisionError.
-    """
-    if isinstance(x, (float, bool)):
-        raise TypeError("floats and booleans are not exact; use an integer or a string like '3/4'")
-    return Fraction(x)
-
-
-def _as_int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"{x!r} is not an integer")
-    return x
-
-
 def quiver_from_dict(data: Mapping) -> Quiver:
-    """Integer fields take JSON integers only and relation coefficients
-    follow ``as_fraction``; any malformed field raises QuiverError."""
+    """The quiver of a JSON description; the constructors check every number,
+    and any malformed field raises QuiverError."""
     try:
         arrows = tuple(
-            Arrow(
-                id=str(a["id"]),
-                source=_as_int(a["source"]),
-                target=_as_int(a["target"]),
-                weight=_as_int(a.get("r", 0)),
-                label=a.get("label"),
-            )
+            Arrow(str(a["id"]), a["source"], a["target"], a.get("r", 0), a.get("label"))
             for a in data["arrows"]
         )
         by_id = {a.id: a for a in arrows}
@@ -494,23 +516,19 @@ def quiver_from_dict(data: Mapping) -> Quiver:
             terms = []
             for t in rel["terms"]:
                 ids = [str(x) for x in t["path"]]
-                path = Path(by_id[ids[0]].source, tuple(by_id[x] for x in ids))
-                terms.append((as_fraction(t["coeff"]), path))
+                terms.append((t["coeff"], Path(by_id[ids[0]].source, [by_id[x] for x in ids])))
             relations.append(Relation(tuple(terms)))
-        pic, canonical = data.get("pic"), data.get("canonical")
         return Quiver(
-            n=_as_int(data["n"]),
+            n=data["n"],
             arrows=arrows,
             relations=tuple(relations),
             gg=data.get("gg"),
-            pic=None if pic is None else [[_as_int(x) for x in v] for v in pic],
-            canonical=None if canonical is None else [_as_int(x) for x in canonical],
+            pic=data.get("pic"),
+            canonical=data.get("canonical"),
         )
     except QuiverError:
         raise
-    except (
-        AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError
-    ) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise QuiverError(f"malformed quiver description: {exc!r}") from exc
 
 

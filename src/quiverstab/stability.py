@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .points import RepresentationPoint, satisfies_relations
-from .quiver import Quiver, QuiverError
+from .quiver import Quiver, QuiverError, as_int
 
 ENUMERATION_CAP = 20
 
@@ -26,25 +26,16 @@ class EnumerationCapError(ValueError):
 
 @dataclass(frozen=True)
 class Character:
-    """An integer weight vector chi with sum(chi_i * alpha_i) = 0."""
+    """An integer weight vector chi with sum(chi) = 0; entries follow
+    ``as_int``.  Every node dimension is 1, so the sum is unweighted."""
 
     chi: tuple[int, ...]
-    alpha: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        chi = tuple(int(c) for c in self.chi)
-        alpha = self.alpha
-        if alpha is None:
-            alpha = (1,) * len(chi)
-        alpha = tuple(int(a) for a in alpha)
+        chi = tuple(map(as_int, self.chi))
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "alpha", alpha)
-        if len(alpha) != len(chi):
-            raise ValueError("alpha and chi have different lengths")
-        if any(a <= 0 for a in alpha):
-            raise ValueError("alpha entries must be positive")
-        if sum(c * a for c, a in zip(chi, alpha)) != 0:
-            raise ValueError(f"character {chi} does not satisfy sum(chi*alpha) = 0")
+        if sum(chi) != 0:
+            raise ValueError(f"character {chi} does not satisfy sum(chi) = 0")
 
     @property
     def n(self) -> int:
@@ -57,12 +48,13 @@ class Character:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Non-negative integers m[i][j] with zero diagonal, generating a character."""
+    """Non-negative integers m[i][j] with zero diagonal, generating a
+    character; entries follow ``as_int``."""
 
     m: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.m)
+        m = tuple(tuple(map(as_int, row)) for row in self.m)
         object.__setattr__(self, "m", m)
         n = len(m)
         if any(len(row) != n for row in m):
@@ -225,8 +217,6 @@ def stability_report(q: Quiver, p: RepresentationPoint, chi: Character) -> Stabi
     """
     if chi.n != q.n:
         raise ValueError(f"character length {chi.n} != n = {q.n}")
-    if any(a != 1 for a in chi.alpha):
-        raise ValueError("stability tests support only the all-ones dimension vector")
     fam = subrep_supports(q, p, warn=False)
     values = [(chi.of_subset(s), s) for s in fam.proper()]
     violating = next((tuple(sorted(s)) for v, s in values if v > 0), None)

@@ -206,6 +206,24 @@ class TestTautologicalPoint:
         with pytest.raises(ValueError):
             tautological_point(get_entry("p2"), [1, 2])
 
+    @pytest.mark.parametrize(
+        "name,cox,fiber",
+        [
+            ("p2", [0.1, True, 1], None),
+            ("p2", [1, True, 1], None),
+            ("p2", {"x0": 1, "x1": 2, "x2": 0.5}, None),
+            ("p2", [1, "1/0", 1], None),
+            ("p2-helix", [1, 2, 3], 0.5),
+            ("p2-helix", [1, 2, 3], True),
+        ],
+    )
+    def test_coordinates_are_exact(self, name, cox, fiber):
+        with pytest.raises(ValueError):
+            tautological_point(get_entry(name), cox, fiber)
+        if fiber is not None:
+            with pytest.raises(ValueError):
+                canonical_geometric_form(get_entry(name), cox, fiber)
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_relations_always_satisfied(self, name):
         entry = get_entry(name)

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from quiverstab.cli import main
 from quiverstab.quiver import quiver_from_json
@@ -169,6 +173,36 @@ class TestCheckCommand:
         assert "Traceback" not in result.output
         assert "bad point file" in result.output
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"chi": [-1.7, 0, true]}', '{"chi": [-1, 0, "1"]}', "[-1, 0, 1]", None],
+    )
+    def test_bad_chi_file_exits_2(self, runner, tmp_path, content):
+        path = tmp_path / "chi.json"
+        if content is not None:
+            path.write_text(content)
+        result = runner.invoke(
+            main, ["check", "--example", "p2", "--taut=1:1:1", "--chi-file", str(path)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error: bad character file")
+
+    def test_chi_file(self, runner, tmp_path):
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({"chi": [-1, 0, 1]}))
+        result = runner.invoke(
+            main, ["check", "--example", "p2", "--taut=1:2:3", "--chi-file", str(path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "stable"
+
+    @pytest.mark.parametrize("taut", ["1:x:3", "1:1/0:3", "1:2"])
+    def test_bad_taut_exits_2(self, runner, taut):
+        result = runner.invoke(main, ["check", "--example", "p2", "--chi=-1,0,1", "--taut", taut])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
     def test_bad_character_length(self, runner):
         result = runner.invoke(
             main, ["check", "--example", "p2", "--chi=-1,1", "--taut", "1:2:3"]
@@ -275,7 +309,15 @@ class TestCharacterCommand:
         result = runner.invoke(main, ["character", "--n", "3", "--spiral"])
         assert "chi = [-1, 0, 1]" in result.output
 
-    @pytest.mark.parametrize("content", ["[[0, 1], [0, 0]]", None])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[[0, 1], [0, 0]]",
+            None,
+            '{"m": [[0, 1.5, 0], [0, 0, 0], [0, true, 0]]}',
+            '{"m": [[0, "1"], [0, 0]]}',
+        ],
+    )
     def test_bad_m_file_exits_2(self, runner, tmp_path, content):
         path = tmp_path / "m.json"
         if content is not None:
@@ -284,6 +326,7 @@ class TestCharacterCommand:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "bad weight file" in result.output
+        assert result.output.splitlines()[-1].startswith("Error: bad weight file")
 
     def test_m_file_infers_size(self, runner, tmp_path):
         path = tmp_path / "m.json"
@@ -385,9 +428,13 @@ class TestQuiverFiles:
 
     def test_malformed_quiver_file(self, runner, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        result = runner.invoke(main, ["cycles", "--quiver", str(path)])
-        assert result.exit_code == 2
+        # invalid JSON, JSON nested past the parser's recursion limit, not UTF-8
+        for content in (b"{not json", b"[" * 100_000, b"\xff\xfe"):
+            path.write_bytes(content)
+            result = runner.invoke(main, ["cycles", "--quiver", str(path)])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.splitlines()[-1].startswith("Error: bad quiver file")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -401,6 +448,8 @@ class TestQuiverFiles:
             ("relations.0.terms.0.coeff", 1.0),
             ("relations.0.terms.0.path", []),
             ("pic.0", ["zero"]),
+            ("gg.0.1", "no"),
+            ("gg.0.1", 1),
         ],
     )
     def test_malformed_field_exits_2(self, runner, tmp_path, field, value):
@@ -426,3 +475,73 @@ class TestQuiverFiles:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["count"] == 0
+
+
+json_values = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6),
+    lambda inner: (
+        hst.lists(inner, max_size=4) | hst.dictionaries(hst.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=6,
+)
+entries = json_values | hst.integers(-1, 3)
+arrows = hst.fixed_dictionaries(
+    {
+        "id": hst.sampled_from("abc"),
+        "source": entries,
+        "target": entries,
+        "r": entries,
+        "label": hst.sampled_from([None, "x", "x*y"]) | json_values,
+    }
+)
+p2_values = hst.fixed_dictionaries(
+    {f"a{j}_{k}": entries for j in ("21", "32") for k in (1, 2, 3)}
+)
+
+# option: (command, fixed fields of a well-formed file, the key whose value
+# the entry rules check, a strategy for that value)
+FILE_OPTIONS = {
+    "--chi-file": (
+        ["check", "--example", "p2", "--taut=1:2:3"],
+        {},
+        "chi",
+        hst.lists(entries, max_size=4),
+    ),
+    "--m-file": (["character"], {}, "m", hst.lists(hst.lists(entries, max_size=3), max_size=3)),
+    "--point": (["check", "--example", "p2", "--chi=-1,0,1"], {}, "values", p2_values),
+    "--quiver": (["cycles", "--max-len", "3"], {"n": 3}, "arrows", hst.lists(arrows, max_size=4)),
+}
+
+
+def _inexact(value) -> bool:
+    """True iff a float or a boolean sits anywhere in a JSON value."""
+    if isinstance(value, (bool, float)):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(_inexact, value))
+
+
+class TestBoundaryProperty:
+    """Whatever JSON a file option is given, the command exits 0, 1 or 2,
+    never with a traceback.  Half the files are arbitrary JSON; the other
+    half are well formed but for arbitrary entries under one key, and a
+    float or boolean there always exits 2."""
+
+    @pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+    @given(data=hst.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_json_file(self, option, data):
+        args, fields, key, under_key = FILE_OPTIONS[option]
+        shaped = data.draw(hst.booleans())
+        value = {**fields, key: data.draw(under_key)} if shaped else data.draw(json_values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(value))
+            result = CliRunner().invoke(main, [*args, option, str(path)])
+        assert result.exit_code in (0, 1, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+            result.exception
+        )
+        if shaped and _inexact(value[key]):
+            assert result.exit_code == 2, result.output

@@ -143,6 +143,10 @@ class TestPointIO:
     def test_floats_rejected(self):
         with pytest.raises(PointError):
             RepresentationPoint.from_mapping({"a": 0.5})
+        with pytest.raises(PointError):
+            RepresentationPoint((("a", 0.5),))
+        with pytest.raises(PointError):
+            TorusElement((1, True))
 
     def test_for_quiver_requires_every_arrow(self):
         with pytest.raises(PointError):

@@ -18,6 +18,8 @@ from quiverstab.quiver import (
     grading_certificate,
     monomial_key,
     parse_monomial,
+    as_fraction,
+    as_int,
     quiver_from_json,
     quiver_to_json,
 )
@@ -397,6 +399,64 @@ class TestQuiverValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(QuiverError):
             Arrow("a", 2, 1, weight=-1)
+
+    @pytest.mark.parametrize("field", ["source", "target", "weight"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_arrow_numbers_are_integers(self, field, value):
+        numbers = {"source": 2, "target": 1, "weight": 0, field: value}
+        with pytest.raises(ValueError):
+            Arrow("x", **numbers)
+
+    def test_arrow_label_is_a_string(self):
+        with pytest.raises(TypeError):
+            Arrow("x", 2, 1, label=5)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 2.0),
+            ("n", True),
+            ("gg", ((True, "no"), (False, True))),
+            ("gg", ((True, 1), (False, True))),
+            ("pic", ((0,), (0.5,))),
+            ("canonical", (True,)),
+        ],
+    )
+    def test_quiver_numbers_are_exact(self, field, value):
+        data = {"n": 2, "arrows": (Arrow("a", 2, 1),), "pic": ((0,), (1,)), "canonical": (-2,)}
+        data[field] = value
+        with pytest.raises(ValueError):
+            Quiver(**data)
+
+    @pytest.mark.parametrize("coeff", [0.5, True, "1/0", "x", None])
+    def test_relation_coefficients_are_rational(self, coeff):
+        q = chain3()
+        paths = enumerate_paths(q, 3, 1, 2)
+        with pytest.raises(ValueError):
+            Relation(((coeff, paths[0]), (-1, paths[1])))
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize("x", [0, -7, 10**30])
+    def test_as_int_accepts_integers(self, x):
+        assert as_int(x) == x
+
+    @pytest.mark.parametrize("x", [1.0, True, False, "1", None, [1], Fraction(1)])
+    def test_as_int_rejects_everything_else(self, x):
+        with pytest.raises(ValueError):
+            as_int(x)
+
+    @pytest.mark.parametrize(
+        "x,expected",
+        [(3, 3), (Fraction(-3, 4), Fraction(-3, 4)), ("-3/4", Fraction(-3, 4)), ("2", 2)],
+    )
+    def test_as_fraction_accepts_exact_values(self, x, expected):
+        assert as_fraction(x) == expected
+
+    @pytest.mark.parametrize("x", [0.1, True, "1/0", "x", "nan", None, [1], {"1": 2}])
+    def test_as_fraction_raises_only_value_error(self, x):
+        with pytest.raises(ValueError):
+            as_fraction(x)
 
 
 class TestJsonRoundTrip:

@@ -52,10 +52,10 @@ class TestCharacter:
         with pytest.raises(ValueError):
             Character((1, 1, 1))
 
-    def test_alpha_weighted_sum(self):
-        Character((1, -2), alpha=(2, 1))
+    @pytest.mark.parametrize("chi", [(0.5, -0.5), (1.0, -1), (True, -1), ("1", -1)])
+    def test_entries_are_integers(self, chi):
         with pytest.raises(ValueError):
-            Character((1, -1), alpha=(2, 1))
+            Character(chi)
 
 
 class TestWeightMatrix:
@@ -66,6 +66,11 @@ class TestWeightMatrix:
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError):
             WeightMatrix(((1, 0), (0, 0)))
+
+    @pytest.mark.parametrize("m", [((0, 1.9), (True, 0)), ((0, 1.0), (0, 0)), ((0, "1"), (0, 0))])
+    def test_entries_are_integers(self, m):
+        with pytest.raises(ValueError):
+            WeightMatrix(m)
 
 
 class TestSubrepSupports:
