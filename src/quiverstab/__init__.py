@@ -12,7 +12,9 @@ from .quiver import (
     arrow_degree,
     derive_binomial_relations,
     enumerate_paths,
+    fiber_relations,
     grading_certificate,
+    path_fibers,
     quiver_from_json,
     quiver_to_json,
 )

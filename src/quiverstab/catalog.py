@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -25,10 +26,8 @@ from .quiver import (
     Quiver,
     QuiverError,
     as_fraction,
-    derive_binomial_relations,
-    enumerate_paths,
-    grading_certificate,
-    monomial_key,
+    fiber_relations,
+    path_fibers,
 )
 
 
@@ -53,29 +52,10 @@ class CatalogEntry:
     def var_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.cox_variables)
 
-    def var_degree(self, name: str) -> tuple[int, ...]:
-        for v, d in self.cox_variables:
-            if v == name:
-                return d
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
-# construction helpers
+# Hom dimensions
 # ---------------------------------------------------------------------------
-
-
-def _level_arrows(source: int, target: int, labels: Sequence[str], weight: int = 0):
-    return [
-        Arrow(id=f"a{source}{target}_{k + 1}", source=source, target=target, weight=weight, label=lab)
-        for k, lab in enumerate(labels)
-    ]
-
-
-def _with_derived_relations(q: Quiver) -> Quiver:
-    from dataclasses import replace
-
-    return replace(q, relations=tuple(derive_binomial_relations(q)))
 
 
 _PERCEPTRON_STEPS = 1000
@@ -133,257 +113,196 @@ def monomials_of_degree(
     return out
 
 
-def _validate_entry(entry: CatalogEntry):
-    q = entry.quiver
-    cert = grading_certificate(q)
-    if not cert:
-        raise QuiverError(f"{entry.name}: grading fails at arrow {cert.witness.id}")
-    if q.pic is None or q.canonical is None:
-        raise QuiverError(f"{entry.name}: entries must carry pic and canonical data")
-    rank = len(q.canonical)
-    for a in q.arrows:
-        exps = a.label_exponents()
-        deg = [0] * rank
-        for var, e in exps.items():
-            d = entry.var_degree(var)
-            for k in range(rank):
-                deg[k] += e * d[k]
-        expected = tuple(
-            q.pic[a.source - 1][k] - q.pic[a.target - 1][k] - a.weight * q.canonical[k]
-            for k in range(rank)
-        )
-        if tuple(deg) != expected:
-            raise QuiverError(
-                f"{entry.name}: arrow {a.id} label degree {tuple(deg)} != {expected}"
-            )
-
-
-def _check_hom_dimensions(entry: CatalogEntry):
-    """Distinct path products between nodes must exhaust the Hom space.
-
-    Only meaningful for the weight-zero base entries; the count of monomials
-    of degree pic(E_j) - pic(E_i) is the dimension of Hom(E_i, E_j)."""
-    q = entry.quiver
-    degrees = [d for _, d in entry.cox_variables]
-    for j in range(1, q.n + 1):
-        for i in range(1, q.n + 1):
-            if i == j:
-                continue
-            paths = [p for p in enumerate_paths(q, j, i, q.n) if len(p) >= 1]
-            if not paths:
-                continue
-            products = {monomial_key(p.label_exponents()) for p in paths}
-            target = tuple(
-                q.pic[j - 1][k] - q.pic[i - 1][k] for k in range(len(q.canonical))
-            )
-            expected = len(monomials_of_degree(degrees, target))
-            if len(products) != expected:
-                raise QuiverError(
-                    f"{entry.name}: paths {j}->{i} span {len(products)} monomials, "
-                    f"Hom dimension is {expected}"
-                )
-
-
 # ---------------------------------------------------------------------------
 # entries
 # ---------------------------------------------------------------------------
 
-# Listed names and their descriptions; listing the catalog builds nothing.
-_DESCRIPTIONS = {
-    "p2": "O..O(2) on P^2",
-    "f1": "O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
-    "p1xp1": "O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
-    "p2-helix": "helix extension of the P^2 chain on tot(K)",
-    "p1xp1-spiral": "spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
-    "pn(k)": "O..O(k) on P^k, any k >= 1",
-}
+
+@dataclass(frozen=True)
+class _Spec:
+    """The fixed data of one entry.
+
+    ``levels`` lists ``(source, target, labels)``, one weight-zero arrow
+    ``a{source}{target}_{k}`` per label; ``gg`` holds the off-diagonal pairs
+    ``(i, j)`` whose Hom sheaf is generated by global sections, or None for
+    no gg table; ``spiral`` labels the weight-1 arrows that extend the
+    weight-zero chain over the total space of the canonical bundle.
+    """
+
+    description: str
+    variables: tuple[tuple[str, tuple[int, ...]], ...]
+    levels: tuple[tuple[int, int, tuple[str, ...]], ...]
+    pic: tuple[tuple[int, ...], ...]
+    canonical: tuple[int, ...]
+    forbidden: tuple[frozenset[str], ...]
+    gg: frozenset[tuple[int, int]] | None = None
+    spiral: tuple[str, ...] | None = None
 
 
-def _projective_space_entry(dim: int) -> CatalogEntry:
+def _pn(dim: int) -> _Spec:
     """O, O(1), ..., O(dim) on P^dim; the simple-helix chain quiver."""
     n = dim + 1
-    variables = tuple((f"x{k}", (1,)) for k in range(n))
-    labels = [v for v, _ in variables]
-    arrows = []
-    for level in range(n, 1, -1):
-        arrows.extend(_level_arrows(level, level - 1, labels))
-    gg = tuple(tuple(i <= j for j in range(1, n + 1)) for i in range(1, n + 1))
-    q = Quiver(
-        n=n,
-        arrows=tuple(arrows),
-        gg=gg,
+    xs = tuple(f"x{k}" for k in range(n))
+    return _Spec(
+        description=f"O..O({dim}) on P^{dim}",
+        variables=tuple((x, (1,)) for x in xs),
+        levels=tuple((s, s - 1, xs) for s in range(n, 1, -1)),
         pic=tuple((k,) for k in range(n)),
         canonical=(-n,),
+        forbidden=(frozenset(xs),),
+        gg=frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
     )
-    name = "p2" if dim == 2 else f"pn({dim})"
-    entry = CatalogEntry(
-        name=name,
-        quiver=_with_derived_relations(q),
-        cox_variables=variables,
-        forbidden_vanishing=(frozenset(labels),),
-        description=f"O..O({dim}) on P^{dim}",
-    )
-    _validate_entry(entry)
-    _check_hom_dimensions(entry)
-    return entry
 
 
-def _f1_entry() -> CatalogEntry:
-    """O, O(D), O(H), O(2H) on the Hirzebruch surface F1, in the (H, D) basis."""
-    variables = (
-        ("t1", (1, -1)),
-        ("t2", (0, 1)),
-        ("t3", (1, -1)),
-        ("t4", (1, 0)),
-    )
-    arrows = (
-        _level_arrows(2, 1, ["t2"])
-        + _level_arrows(3, 1, ["t4"])
-        + _level_arrows(3, 2, ["t1", "t3"])
-        + _level_arrows(4, 3, ["t4", "t1*t2", "t3*t2"])
-    )
+_P1XP1_VARIABLES = (("x1", (1, 0)), ("x2", (1, 0)), ("y1", (0, 1)), ("y2", (0, 1)))
+_P1XP1_FORBIDDEN = (frozenset({"x1", "x2"}), frozenset({"y1", "y2"}))
+
+# Listed names in order; listing the catalog builds nothing.
+_SPECS = {
+    "p2": _pn(2),
+    # O, O(D), O(H), O(2H) on the Hirzebruch surface F1, in the (H, D) basis;
     # only Hom(E_1, E_2) = O(D) fails to be generated by global sections
-    gg_true = {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
-    gg = tuple(
-        tuple(i == j or (i, j) in gg_true for j in range(1, 5)) for i in range(1, 5)
-    )
-    q = Quiver(
-        n=4,
-        arrows=tuple(arrows),
-        gg=gg,
+    "f1": _Spec(
+        description="O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
+        variables=(("t1", (1, -1)), ("t2", (0, 1)), ("t3", (1, -1)), ("t4", (1, 0))),
+        levels=(
+            (2, 1, ("t2",)),
+            (3, 1, ("t4",)),
+            (3, 2, ("t1", "t3")),
+            (4, 3, ("t4", "t1*t2", "t3*t2")),
+        ),
         pic=((0, 0), (0, 1), (1, 0), (2, 0)),
         canonical=(-3, 1),
-    )
-    entry = CatalogEntry(
-        name="f1",
-        quiver=_with_derived_relations(q),
-        cox_variables=variables,
-        forbidden_vanishing=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
-        description=_DESCRIPTIONS["f1"],
-    )
-    _validate_entry(entry)
-    _check_hom_dimensions(entry)
-    return entry
-
-
-def _p1xp1_entry() -> CatalogEntry:
-    """O, O(0,1), O(1,0), O(1,1) on P^1 x P^1."""
-    variables = (
-        ("x1", (1, 0)),
-        ("x2", (1, 0)),
-        ("y1", (0, 1)),
-        ("y2", (0, 1)),
-    )
-    arrows = (
-        _level_arrows(2, 1, ["y1", "y2"])
-        + _level_arrows(3, 1, ["x1", "x2"])
-        + _level_arrows(4, 2, ["x1", "x2"])
-        + _level_arrows(4, 3, ["y1", "y2"])
-    )
-    gg_true = {(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}
-    gg = tuple(
-        tuple(i == j or (i, j) in gg_true for j in range(1, 5)) for i in range(1, 5)
-    )
-    q = Quiver(
-        n=4,
-        arrows=tuple(arrows),
-        gg=gg,
+        forbidden=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
+        gg=frozenset({(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}),
+    ),
+    "p1xp1": _Spec(
+        description="O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
+        variables=_P1XP1_VARIABLES,
+        levels=(
+            (2, 1, ("y1", "y2")),
+            (3, 1, ("x1", "x2")),
+            (4, 2, ("x1", "x2")),
+            (4, 3, ("y1", "y2")),
+        ),
         pic=((0, 0), (0, 1), (1, 0), (1, 1)),
         canonical=(-2, -2),
-    )
-    entry = CatalogEntry(
-        name="p1xp1",
-        quiver=_with_derived_relations(q),
-        cox_variables=variables,
-        forbidden_vanishing=(frozenset({"x1", "x2"}), frozenset({"y1", "y2"})),
-        description=_DESCRIPTIONS["p1xp1"],
-    )
-    _validate_entry(entry)
-    _check_hom_dimensions(entry)
-    return entry
-
-
-def _p2_helix_entry() -> CatalogEntry:
-    """The P^2 chain extended by three weight-1 arrows over the total space of
-    the canonical bundle; points carry a fiber coordinate."""
-    base = _projective_space_entry(2)
-    extended = extend_spiral(base.quiver, 3, labels=["x0", "x1", "x2"])
-    entry = CatalogEntry(
-        name="p2-helix",
-        quiver=extended,
-        cox_variables=base.cox_variables,
-        forbidden_vanishing=base.forbidden_vanishing,
-        fiber=True,
-        description=_DESCRIPTIONS["p2-helix"],
-    )
-    _validate_entry(entry)
-    return entry
-
-
-def _p1xp1_spiral_entry() -> CatalogEntry:
-    """The chain O, O(1,0), O(1,1), O(2,1) on P^1 x P^1 extended to the spiral
-    quiver on the total space of the canonical bundle O(-2,-2)."""
-    variables = (
-        ("x1", (1, 0)),
-        ("x2", (1, 0)),
-        ("y1", (0, 1)),
-        ("y2", (0, 1)),
-    )
-    arrows = (
-        _level_arrows(2, 1, ["x1", "x2"])
-        + _level_arrows(3, 2, ["y1", "y2"])
-        + _level_arrows(4, 3, ["x1", "x2"])
-    )
-    q = Quiver(
-        n=4,
-        arrows=tuple(arrows),
+        forbidden=_P1XP1_FORBIDDEN,
+        gg=frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}),
+    ),
+    "p2-helix": replace(
+        _pn(2),
+        description="helix extension of the P^2 chain on tot(K)",
+        spiral=("x0", "x1", "x2"),
+    ),
+    "p1xp1-spiral": _Spec(
+        description="spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
+        variables=_P1XP1_VARIABLES,
+        levels=((2, 1, ("x1", "x2")), (3, 2, ("y1", "y2")), (4, 3, ("x1", "x2"))),
         pic=((0, 0), (1, 0), (1, 1), (2, 1)),
         canonical=(-2, -2),
-    )
-    extended = extend_spiral(q, 2, labels=["y1", "y2"])
-    entry = CatalogEntry(
-        name="p1xp1-spiral",
-        quiver=extended,
-        cox_variables=variables,
-        forbidden_vanishing=(frozenset({"x1", "x2"}), frozenset({"y1", "y2"})),
-        fiber=True,
-        description=_DESCRIPTIONS["p1xp1-spiral"],
-    )
-    _validate_entry(entry)
-    return entry
-
-
+        forbidden=_P1XP1_FORBIDDEN,
+        spiral=("y1", "y2"),
+    ),
+}
+_PN_DESCRIPTION = "O..O(k) on P^k, any k >= 1"
 _PN_RE = re.compile(r"pn\((\d+)\)$")
 
 
+def _weight_zero_quiver(spec: _Spec) -> Quiver:
+    n = len(spec.pic)
+    gg = None
+    if spec.gg is not None:
+        gg = tuple(
+            tuple(i == j or (i, j) in spec.gg for j in range(1, n + 1)) for i in range(1, n + 1)
+        )
+    return Quiver(
+        n=n,
+        arrows=tuple(
+            Arrow(f"a{s}{t}_{k + 1}", s, t, label=label)
+            for s, t, labels in spec.levels
+            for k, label in enumerate(labels)
+        ),
+        gg=gg,
+        pic=spec.pic,
+        canonical=spec.canonical,
+    )
+
+
+def _check_label_degrees(name: str, q: Quiver, variables) -> None:
+    """Every label is a monomial of degree pic(source) - pic(target) minus
+    weight times the canonical class."""
+    degree = dict(variables)
+    rank = len(q.canonical)
+    for a in q.arrows:
+        got = tuple(
+            sum(e * degree[var][k] for var, e in a.label_exponents().items()) for k in range(rank)
+        )
+        expected = tuple(
+            q.pic[a.source - 1][k] - q.pic[a.target - 1][k] - a.weight * q.canonical[k]
+            for k in range(rank)
+        )
+        if got != expected:
+            raise QuiverError(f"{name}: arrow {a.id} label degree {got} != {expected}")
+
+
+def _check_hom_dimensions(name: str, q: Quiver, fibers, variables) -> None:
+    """Distinct path products between nodes must exhaust the Hom space.
+
+    On a weight-zero quiver each of its ``path_fibers`` from j to i is one
+    monomial of degree pic(E_j) - pic(E_i), and the count of all such
+    monomials is the dimension of Hom(E_i, E_j)."""
+    spans = Counter((j, i) for j, i, _, _ in fibers)
+    degrees = [d for _, d in variables]
+    for (j, i), count in sorted(spans.items()):
+        target = tuple(a - b for a, b in zip(q.pic[j - 1], q.pic[i - 1]))
+        expected = len(monomials_of_degree(degrees, target))
+        if count != expected:
+            raise QuiverError(
+                f"{name}: paths {j}->{i} span {count} monomials, Hom dimension is {expected}"
+            )
+
+
+def _build(name: str, spec: _Spec) -> CatalogEntry:
+    """The entry of a spec: its weight-zero quiver with derived relations,
+    or that quiver spiral-extended, every label checked.  One walk of the
+    weight-zero quiver feeds both its relations and the Hom check."""
+    base = _weight_zero_quiver(spec)
+    fibers = path_fibers(base)
+    if spec.spiral is None:
+        q = replace(base, relations=tuple(fiber_relations(fibers)))
+    else:
+        q = extend_spiral(base, len(spec.spiral), labels=spec.spiral)
+    _check_label_degrees(name, q, spec.variables)
+    _check_hom_dimensions(name, base, fibers, spec.variables)
+    return CatalogEntry(
+        name=name,
+        quiver=q,
+        cox_variables=spec.variables,
+        forbidden_vanishing=spec.forbidden,
+        fiber=spec.spiral is not None,
+        description=spec.description,
+    )
+
+
 def entry_names() -> list[str]:
-    return list(_DESCRIPTIONS)
+    return [*_SPECS, "pn(k)"]
 
 
 def entry_description(name: str) -> str:
     """The description of a listed entry name, without building the entry."""
-    return _DESCRIPTIONS[name]
+    return _PN_DESCRIPTION if name == "pn(k)" else _SPECS[name].description
 
 
 @lru_cache(maxsize=None)
 def get_entry(name: str) -> CatalogEntry:
-    if name == "p2":
-        return _projective_space_entry(2)
-    if name == "f1":
-        return _f1_entry()
-    if name == "p1xp1":
-        return _p1xp1_entry()
-    if name == "p2-helix":
-        return _p2_helix_entry()
-    if name == "p1xp1-spiral":
-        return _p1xp1_spiral_entry()
+    if name in _SPECS:
+        return _build(name, _SPECS[name])
     m = _PN_RE.match(name)
-    if m:
-        dim = int(m.group(1))
-        if dim < 1:
-            raise UnknownEntryError(name)
-        return _projective_space_entry(dim)
-    raise UnknownEntryError(name)
+    if m is None or int(m.group(1)) < 1:
+        raise UnknownEntryError(name)
+    dim = int(m.group(1))
+    return _build("p2" if dim == 2 else f"pn({dim})", _pn(dim))
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,11 @@ def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
     'not certified', not a proof of failure.
     """
     q, _ = _load_quiver(example, quiver_path)
+    # before the weights: their matrix is n x n, and a gg table bounds n by the input size
+    if q.gg is None:
+        raise click.UsageError("good certificate needs the gg table")
     m = _parse_weights(q.n, m_entries, m_file)
-    try:
-        great = st.certify_great(q, m)
-    except qv.QuiverError as exc:
-        raise click.UsageError(str(exc))
+    great = st.certify_great(q, m)
     good = great.good
     character = st.character_from_weights(m)
     result = {

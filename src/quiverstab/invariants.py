@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .points import RepresentationPoint, evaluate_path
-from .quiver import Arrow, Path, Quiver, QuiverError
+from .quiver import Arrow, Path, Quiver, QuiverError, enumerate_paths
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ class CycleMonomial:
         return [CycleMonomial(self.arrows[i:] + self.arrows[:i]) for i in range(k)]
 
     def canonical(self) -> "CycleMonomial":
-        return min(self.rotations(), key=CycleMonomial.arrow_ids)
+        ids = self.arrow_ids()
+        k = min(range(len(ids)), key=lambda i: ids[i:] + ids[:i])
+        return CycleMonomial(self.arrows[k:] + self.arrows[:k])
 
     def as_path(self) -> Path:
         return Path(self.base, self.arrows)
@@ -62,25 +64,13 @@ def enumerate_cycles(q: Quiver, max_len: int) -> list[CycleMonomial]:
     """
     if max_len < 1:
         raise QuiverError("max_len must be at least 1")
-    seen: set[tuple[str, ...]] = set()
-    out: list[CycleMonomial] = []
-
-    def walk(start: int, at: int, arrows: tuple[Arrow, ...]):
-        if arrows and at == start:
-            cycle = CycleMonomial(arrows).canonical()
-            key = cycle.arrow_ids()
-            if key not in seen:
-                seen.add(key)
-                out.append(cycle)
-        if len(arrows) == max_len:
-            return
-        for a in q.outgoing(at):
-            walk(start, a.target, arrows + (a,))
-
-    for start in range(1, q.n + 1):
-        walk(start, start, ())
-    out.sort(key=lambda c: (len(c), c.arrow_ids()))
-    return out
+    cycles: dict[tuple[str, ...], CycleMonomial] = {}
+    for start in q.sources():
+        for p in enumerate_paths(q, start, start, max_len):
+            if p.arrows:
+                cycle = CycleMonomial(p.arrows).canonical()
+                cycles.setdefault(cycle.arrow_ids(), cycle)
+    return sorted(cycles.values(), key=lambda c: (len(c), c.arrow_ids()))
 
 
 def evaluate_invariant(c: CycleMonomial, p: RepresentationPoint) -> Fraction:

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class QuiverError(ValueError):
@@ -103,6 +103,8 @@ class Arrow:
     _exponents: dict[str, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"arrow id {self.id!r} is not a string")
         as_int(self.source)
         as_int(self.target)
         if as_int(self.weight) < 0:
@@ -214,7 +216,8 @@ class Quiver:
     canonical bundle, when known.
 
     Construction indexes the arrows once: by id, by source in id order, and
-    by the nodes each node reaches along a path of length >= 1.
+    by the nodes each source reaches along a path of length >= 1.  Only
+    arrow sources get entries, so the cost follows the arrows, not ``n``.
 
     ``n``, ``pic`` and ``canonical`` follow ``as_int``; ``gg`` entries must
     be booleans.
@@ -246,28 +249,28 @@ class Quiver:
     def _index(self):
         if self.n < 1:
             raise QuiverError("quiver needs at least one node")
-        nodes = range(1, self.n + 1)
         by_id: dict[str, Arrow] = {}
-        out: dict[int, list[Arrow]] = {v: [] for v in nodes}
+        out: dict[int, list[Arrow]] = {}
         for a in sorted(self.arrows, key=lambda a: a.id):
             if not (1 <= a.source <= self.n and 1 <= a.target <= self.n):
                 raise QuiverError(f"arrow {a.id} endpoint out of range 1..{self.n}")
             if a.id in by_id:
                 raise QuiverError(f"duplicate arrow id {a.id}")
             by_id[a.id] = a
-            out[a.source].append(a)
+            out.setdefault(a.source, []).append(a)
+        out = {v: tuple(out[v]) for v in sorted(out)}
         reach: dict[int, frozenset[int]] = {}
-        for v in nodes:
+        for v in out:
             seen: set[int] = set()
             frontier = [v]
             while frontier:
-                for a in out[frontier.pop()]:
+                for a in out.get(frontier.pop(), ()):
                     if a.target not in seen:
                         seen.add(a.target)
                         frontier.append(a.target)
             reach[v] = frozenset(seen)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
+        object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_reach", reach)
 
     def _validate(self):
@@ -301,6 +304,10 @@ class Quiver:
             return self._by_id[arrow_id]
         except KeyError:
             raise QuiverError(f"no arrow with id {arrow_id!r}") from None
+
+    def sources(self) -> tuple[int, ...]:
+        """Nodes with at least one outgoing arrow, ascending."""
+        return tuple(self._out)
 
     def outgoing(self, node: int) -> tuple[Arrow, ...]:
         """Arrows with source ``node``, in id order."""
@@ -378,22 +385,52 @@ def enumerate_paths(q: Quiver, src: int, dst: int, max_len: int) -> list[Path]:
     return out
 
 
-def _paths_up_to_degree(q: Quiver, src: int, max_degree: int) -> Iterator[Path]:
-    """All paths out of src with total arrow degree <= max_degree.
+def path_fibers(q: Quiver, max_degree: int | None = None) -> dict[tuple, list[Path]]:
+    """Paths of length >= 1, grouped into fibers by source, target, total
+    weight and label product.
 
-    Requires every arrow degree to be positive, so the walk terminates even
-    on cyclic quivers.
+    Paths in one fiber compose to the same map of sheaves.  Keys are
+    ``(source, target, total weight, monomial_key of the label product)``,
+    in ``str`` order; each fiber is sorted by arrow ids.  Walks start only
+    at arrow sources.
+
+    ``max_degree`` bounds the walk by total path-algebra degree.  On acyclic
+    quivers the default explores all paths; on cyclic quivers it defaults to
+    ``n``, which covers one trip around the added helix arrows.
     """
+    for a in q.arrows:
+        if a.label is None:
+            raise QuiverError(f"arrow {a.id} is missing a label")
+    cert = grading_certificate(q)
+    if not cert:
+        raise QuiverError(
+            f"path fibers need positive arrow degrees; {cert.witness.id} fails"
+        )
+    if max_degree is None:
+        if q.has_cycle():
+            max_degree = q.n
+        else:
+            max_degree = sum(arrow_degree(q, a) for a in q.arrows) or 1
 
-    def walk(at: int, arrows: tuple[Arrow, ...], deg: int):
-        if arrows:
-            yield Path(src, arrows)
+    fibers: dict[tuple, list[Path]] = {}
+
+    # positive degrees end every walk, even on cyclic quivers
+    def walk(src: int, at: int, arrows: tuple[Arrow, ...], deg: int, weight: int, exps: dict):
         for a in q.outgoing(at):
             d = deg + arrow_degree(q, a)
-            if d <= max_degree:
-                yield from walk(a.target, arrows + (a,), d)
+            if d > max_degree:
+                continue
+            path = arrows + (a,)
+            product = dict(exps)
+            for var, e in a.label_exponents().items():
+                product[var] = product.get(var, 0) + e
+            key = (src, a.target, weight + a.weight, monomial_key(product))
+            fibers.setdefault(key, []).append(Path(src, path))
+            walk(src, a.target, path, d, weight + a.weight, product)
 
-    yield from walk(src, (), 0)
+    for src in q.sources():
+        walk(src, src, (), 0, 0, {})
+    return {key: sorted(fibers[key], key=Path.arrow_ids) for key in sorted(fibers, key=str)}
 
 
 def _component_leaders(paths: list[Path]) -> list[Path]:
@@ -424,11 +461,11 @@ def _component_leaders(paths: list[Path]) -> list[Path]:
 def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[Relation]:
     """Binomial relations induced by coincidences of monomial label products.
 
-    Paths sharing endpoints, with equal total weight and equal label
-    product, compose to the same map of sheaves; such paths form a fiber.
-    Matching is by path-algebra degree (equivalently, by endpoints plus
-    total weight) rather than by raw length, since a labeled composite arrow
-    can shortcut a longer path.
+    The paths of length >= 2 in a fiber of ``path_fibers`` (equal
+    endpoints, total weight and label product) compose to the same map of
+    sheaves.  Matching is by path-algebra degree (equivalently, by endpoints
+    plus total weight) rather than by raw length, since a labeled composite
+    arrow can shortcut a longer path.
 
     Two paths of length >= 3 in a fiber that share their first arrow ``a``
     differ by ``a`` times the difference of two paths in a fiber of lower
@@ -441,37 +478,18 @@ def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[
     shared arrow leaves a single arrow, and a difference of single arrows is
     not a relation.
 
-    ``max_degree`` bounds the search.  On acyclic quivers the default
-    explores all paths; on cyclic quivers it defaults to ``n``, which covers
-    one trip around the added helix arrows.
+    ``max_degree`` bounds the search as in ``path_fibers``.
     """
-    for a in q.arrows:
-        if a.label is None:
-            raise QuiverError(f"arrow {a.id} is missing a label")
-    cert = grading_certificate(q)
-    if not cert:
-        raise QuiverError(
-            f"relation derivation needs positive arrow degrees; {cert.witness.id} fails"
-        )
-    if max_degree is None:
-        if q.has_cycle():
-            max_degree = q.n
-        else:
-            max_degree = sum(arrow_degree(q, a) for a in q.arrows) or 1
+    return fiber_relations(path_fibers(q, max_degree))
 
-    groups: dict[tuple, list[Path]] = {}
-    for src in range(1, q.n + 1):
-        for p in _paths_up_to_degree(q, src, max_degree):
-            if len(p) < 2:
-                continue
-            key = (src, p.target, p.total_weight, monomial_key(p.label_exponents()))
-            groups.setdefault(key, []).append(p)
 
+def fiber_relations(fibers: Mapping[tuple, list[Path]]) -> list[Relation]:
+    """The relations of ``derive_binomial_relations``, from fibers already
+    grouped by ``path_fibers``."""
     relations: list[Relation] = []
-    for key in sorted(groups, key=str):
-        first, *rest = _component_leaders(sorted(groups[key], key=Path.arrow_ids))
-        for other in rest:
-            relations.append(Relation(((1, first), (-1, other))))
+    for fiber in fibers.values():
+        leaders = _component_leaders([p for p in fiber if len(p) >= 2])
+        relations.extend(Relation(((1, leaders[0]), (-1, other))) for other in leaders[1:])
     return relations
 
 
@@ -502,26 +520,47 @@ def quiver_to_dict(q: Quiver) -> dict:
     }
 
 
+def _malformed(exc: Exception, where: str = "") -> QuiverError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return QuiverError(f"malformed quiver description: {where}{detail}")
+
+
+def _arrow_from_dict(a: Mapping) -> Arrow:
+    return Arrow(a["id"], a["source"], a["target"], a.get("r", 0), a.get("label"))
+
+
+def _relation_from_dict(rel: Mapping, by_id: Mapping[str, Arrow]) -> Relation:
+    terms = []
+    for t in rel["terms"]:
+        ids = t["path"]
+        if not ids or not all(x in by_id for x in ids):
+            raise ValueError(f"path {ids!r} is empty or names an arrow not in the quiver")
+        arrows = [by_id[x] for x in ids]
+        terms.append((t["coeff"], Path(arrows[0].source, arrows)))
+    return Relation(tuple(terms))
+
+
 def quiver_from_dict(data: Mapping) -> Quiver:
     """The quiver of a JSON description; the constructors check every number,
-    and any malformed field raises QuiverError."""
+    and any malformed field raises QuiverError, naming the arrow or relation
+    it sits in."""
+
+    def read(items, where: str, build, *args):
+        out = []
+        for k, item in enumerate(items):
+            try:
+                out.append(build(item, *args))
+            except (LookupError, TypeError, ValueError) as exc:
+                raise _malformed(exc, f"{where}[{k}]: ") from exc
+        return tuple(out)
+
     try:
-        arrows = tuple(
-            Arrow(str(a["id"]), a["source"], a["target"], a.get("r", 0), a.get("label"))
-            for a in data["arrows"]
-        )
+        arrows = read(data["arrows"], "arrows", _arrow_from_dict)
         by_id = {a.id: a for a in arrows}
-        relations = []
-        for rel in data.get("relations") or ():
-            terms = []
-            for t in rel["terms"]:
-                ids = [str(x) for x in t["path"]]
-                terms.append((t["coeff"], Path(by_id[ids[0]].source, [by_id[x] for x in ids])))
-            relations.append(Relation(tuple(terms)))
         return Quiver(
             n=data["n"],
             arrows=arrows,
-            relations=tuple(relations),
+            relations=read(data.get("relations") or (), "relations", _relation_from_dict, by_id),
             gg=data.get("gg"),
             pic=data.get("pic"),
             canonical=data.get("canonical"),
@@ -529,7 +568,7 @@ def quiver_from_dict(data: Mapping) -> Quiver:
     except QuiverError:
         raise
     except (LookupError, TypeError, ValueError) as exc:
-        raise QuiverError(f"malformed quiver description: {exc!r}") from exc
+        raise _malformed(exc) from exc
 
 
 def quiver_to_json(q: Quiver) -> str:

@@ -1,11 +1,17 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from quiverstab.catalog import (
+    _SPECS,
     IrrelevantLocusError,
     UnknownEntryError,
+    _build,
+    _check_hom_dimensions,
+    _pn,
+    _weight_zero_quiver,
     canonical_geometric_form,
     check_irrelevant_locus,
     entry_description,
@@ -17,7 +23,13 @@ from quiverstab.catalog import (
     tautological_point,
 )
 from quiverstab.points import satisfies_relations, vanishing_pattern
-from quiverstab.quiver import enumerate_paths, grading_certificate
+from quiverstab.quiver import (
+    QuiverError,
+    enumerate_paths,
+    grading_certificate,
+    monomial_key,
+    path_fibers,
+)
 
 ALL_NAMES = ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"]
 
@@ -94,6 +106,68 @@ class TestEntries:
         for name in entry_names():
             if name != "pn(k)":
                 assert entry_description(name) == get_entry(name).description
+
+
+def hom_check_by_node_pairs(name, q, variables):
+    """Oracle: the Hom-dimension check with one enumerate_paths walk per
+    ordered node pair, each counting the distinct label products."""
+    degrees = [d for _, d in variables]
+    for j in range(1, q.n + 1):
+        for i in range(1, q.n + 1):
+            if i == j:
+                continue
+            paths = [p for p in enumerate_paths(q, j, i, q.n) if len(p) >= 1]
+            if not paths:
+                continue
+            products = {monomial_key(p.label_exponents()) for p in paths}
+            target = tuple(q.pic[j - 1][k] - q.pic[i - 1][k] for k in range(len(q.canonical)))
+            expected = len(monomials_of_degree(degrees, target))
+            if len(products) != expected:
+                raise QuiverError(
+                    f"{name}: paths {j}->{i} span {len(products)} monomials, "
+                    f"Hom dimension is {expected}"
+                )
+
+
+def _dropping_one_arrow(spec):
+    """Each spec that drops one weight-zero arrow from ``spec``."""
+    for at, (s, t, labels) in enumerate(spec.levels):
+        for k in range(len(labels)):
+            level = (s, t, labels[:k] + labels[k + 1 :])
+            yield replace(spec, levels=spec.levels[:at] + (level,) + spec.levels[at + 1 :])
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except QuiverError as exc:
+        return str(exc)
+    return "passes"
+
+
+WEIGHT_ZERO_SPECS = {**_SPECS, **{f"pn({k})": _pn(k) for k in range(1, 5)}}
+
+
+class TestHomDimensions:
+    @pytest.mark.parametrize("name", sorted(WEIGHT_ZERO_SPECS))
+    def test_same_verdicts_as_node_pair_walks(self, name):
+        spec = WEIGHT_ZERO_SPECS[name]
+        verdicts = []
+        for variant in (spec, *_dropping_one_arrow(spec)):
+            q = _weight_zero_quiver(variant)
+            got = _verdict(_check_hom_dimensions, name, q, path_fibers(q), variant.variables)
+            assert got == _verdict(hom_check_by_node_pairs, name, q, variant.variables)
+            verdicts.append(got)
+        # the entry itself passes, and some arrow is needed for the full Hom space
+        assert verdicts[0] == "passes"
+        assert any(v != "passes" for v in verdicts[1:])
+
+    def test_f1_without_an_arrow_fails(self):
+        spec = _SPECS["f1"]
+        levels = spec.levels[:-1] + ((4, 3, ("t4", "t1*t2")),)
+        message = "f1: paths 4->1 span 5 monomials, Hom dimension is 6"
+        with pytest.raises(QuiverError, match=message):
+            _build("f1", replace(spec, levels=levels))
 
 
 class TestMonomialsOfDegree:

@@ -283,6 +283,20 @@ class TestCertifyCommand:
         )
         assert result.exit_code == 2
 
+    def test_gg_free_quiver_rejected_before_the_weight_matrix(self, runner, tmp_path, monkeypatch):
+        def refuse(cls, n, entries):
+            raise AssertionError(f"built an {n} x {n} weight matrix")
+
+        monkeypatch.setattr(
+            "quiverstab.stability.WeightMatrix.from_entries", classmethod(refuse)
+        )
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"n": 3000, "arrows": []}))
+        result = runner.invoke(main, ["certify", "--quiver", str(path), "--m", "1@1,2"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "good certificate needs the gg table" in result.output
+
 
     def test_m_file_of_wrong_size(self, runner, tmp_path):
         path = tmp_path / "m.json"
@@ -450,21 +464,27 @@ class TestQuiverFiles:
             ("pic.0", ["zero"]),
             ("gg.0.1", "no"),
             ("gg.0.1", 1),
+            ("arrows.0.id", None),
+            ("arrows.0.id", 7),
         ],
     )
     def test_malformed_field_exits_2(self, runner, tmp_path, field, value):
-        data = json.loads(runner.invoke(main, ["catalog", "p2"]).output)
-        *keys, last = [int(k) if k.isdigit() else k for k in field.split(".")]
-        target = data
-        for key in keys:
-            target = target[key]
-        target[last] = value
-        path = tmp_path / "q.json"
-        path.write_text(json.dumps(data))
-        result = runner.invoke(main, ["cycles", "--quiver", str(path)])
+        result = _cycles_on_p2_with(runner, tmp_path, field, value)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "malformed quiver description" in result.output
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("arrows.2.r", 1.5, "arrows[2]: 1.5 is not an integer"),
+            ("relations.1.terms.0.coeff", "1/0", "relations[1]: '1/0' is not a rational"),
+        ],
+    )
+    def test_malformed_field_names_its_position(self, runner, tmp_path, field, value, message):
+        result = _cycles_on_p2_with(runner, tmp_path, field, value)
+        assert result.exit_code == 2
+        assert f"malformed quiver description: {message}" in result.output
 
     def test_catalog_env_fallback(self, runner, tmp_path, monkeypatch):
         export = runner.invoke(main, ["catalog", "p2"])
@@ -475,6 +495,20 @@ class TestQuiverFiles:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["count"] == 0
+
+
+def _cycles_on_p2_with(runner, tmp_path, field, value):
+    """``cycles`` on the exported p2 quiver with one field, a dotted path
+    like ``arrows.0.r``, set to ``value``."""
+    data = json.loads(runner.invoke(main, ["catalog", "p2"]).output)
+    *keys, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    return runner.invoke(main, ["cycles", "--quiver", str(path)])
 
 
 json_values = hst.recursive(

@@ -1,7 +1,9 @@
-"""Every README command, replayed in-process, prints exactly the recorded JSON.
+"""Recorded outputs that a change must reproduce byte for byte.
 
-``golden/readme_commands.json`` maps each command line to its stdout.  To
-record it again after an intended output change, run
+``golden/readme_commands.json`` maps each README command line to its stdout,
+replayed in-process.  ``golden/catalog_entries.json`` maps each buildable
+catalog entry, and ``pn(1)`` to ``pn(5)``, to its quiver JSON and its
+coordinate data.  To record both again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 
@@ -12,9 +14,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from quiverstab.catalog import entry_names, get_entry
 from quiverstab.cli import main
+from quiverstab.quiver import quiver_to_json
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_commands.json"
+CATALOG_GOLDEN = Path(__file__).parent / "golden" / "catalog_entries.json"
 
 # `catalog f1` and `extend` always print quiver JSON, so they take no --format.
 README_COMMANDS = [
@@ -31,6 +36,10 @@ README_COMMANDS = [
     "extend --example p2 --added-dim 3 --labels x0,x1,x2",
 ]
 
+CATALOG_NAMES = [name for name in entry_names() if name != "pn(k)"] + [
+    f"pn({k})" for k in range(1, 6)
+]
+
 
 def _run(command: str) -> str:
     result = CliRunner().invoke(main, shlex.split(command))
@@ -38,11 +47,31 @@ def _run(command: str) -> str:
     return result.stdout
 
 
+def _snapshot(name: str) -> dict:
+    entry = get_entry(name)
+    return {
+        "name": entry.name,
+        "quiver": quiver_to_json(entry.quiver),
+        "cox_variables": [[v, list(d)] for v, d in entry.cox_variables],
+        "forbidden_vanishing": [sorted(s) for s in entry.forbidden_vanishing],
+        "fiber": entry.fiber,
+        "description": entry.description,
+    }
+
+
 @pytest.mark.parametrize("command", README_COMMANDS)
 def test_readme_command_matches_golden(command):
     assert _run(command) == json.loads(GOLDEN.read_text())[command]
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_entry_matches_golden(name):
+    assert _snapshot(name) == json.loads(CATALOG_GOLDEN.read_text())[name]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({c: _run(c) for c in README_COMMANDS}, indent=1) + "\n")
+    CATALOG_GOLDEN.write_text(
+        json.dumps({name: _snapshot(name) for name in CATALOG_NAMES}, indent=1) + "\n"
+    )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
+from quiverstab.invariants import enumerate_cycles
 from quiverstab.points import RepresentationPoint, satisfies_relations
 from quiverstab.quiver import (
     Arrow,
@@ -18,6 +19,7 @@ from quiverstab.quiver import (
     grading_certificate,
     monomial_key,
     parse_monomial,
+    path_fibers,
     as_fraction,
     as_int,
     quiver_from_json,
@@ -204,23 +206,34 @@ class TestDeriveBinomialRelations:
         assert (2, 3) in lengths
 
 
-def all_pairs_relations(q: Quiver) -> list[Relation]:
-    """Oracle: the difference of every pair of paths in a fiber, i.e. with
-    equal endpoints, total weight and label product, and length >= 2."""
-    max_degree = q.n if q.has_cycle() else sum(arrow_degree(q, a) for a in q.arrows)
+def default_max_degree(q: Quiver) -> int:
+    return q.n if q.has_cycle() else sum(arrow_degree(q, a) for a in q.arrows)
+
+
+def all_paths_fibers(q: Quiver, max_degree: int) -> dict[tuple, list[Path]]:
+    """Oracle: every path of length >= 1 and degree <= max_degree, listed by
+    one enumerate_paths walk per ordered node pair and grouped by endpoints,
+    total weight and label product."""
     fibers: dict[tuple, list[Path]] = {}
     for src in range(1, q.n + 1):
         for dst in range(1, q.n + 1):
             for p in enumerate_paths(q, src, dst, max_degree):
-                if len(p) < 2 or sum(arrow_degree(q, a) for a in p.arrows) > max_degree:
+                if len(p) < 1 or sum(arrow_degree(q, a) for a in p.arrows) > max_degree:
                     continue
                 key = (src, dst, p.total_weight, monomial_key(p.label_exponents()))
                 fibers.setdefault(key, []).append(p)
+    return fibers
+
+
+def all_pairs_relations(q: Quiver) -> list[Relation]:
+    """Oracle: the difference of every pair of paths in a fiber, i.e. with
+    equal endpoints, total weight and label product, and length >= 2."""
     return [
         Relation(((Fraction(1), p1), (Fraction(-1), p2)))
-        for paths in fibers.values()
+        for paths in all_paths_fibers(q, default_max_degree(q)).values()
         for i, p1 in enumerate(paths)
         for p2 in paths[i + 1 :]
+        if len(p1) >= 2 and len(p2) >= 2
     ]
 
 
@@ -316,6 +329,44 @@ class TestMinimalRelations:
         assert (("a43_2", "a32_2", "a21_1"), ("a43_3", "a32_1", "a21_1")) not in pairs
 
 
+class TestPathFibers:
+    @pytest.mark.parametrize("name", ["p2-helix", "pn(3)"])
+    @pytest.mark.parametrize("max_degree", [None, 2])
+    def test_matches_all_paths_grouping(self, name, max_degree):
+        q = get_entry(name).quiver
+        oracle = all_paths_fibers(q, max_degree or default_max_degree(q))
+        fibers = path_fibers(q, max_degree)
+        assert list(fibers) == sorted(oracle, key=str)
+        for key, paths in fibers.items():
+            assert [p.arrow_ids() for p in paths] == sorted(p.arrow_ids() for p in oracle[key])
+
+
+class TestCostFollowsArrows:
+    """Walks start only at arrow sources, so a declared n of a million with
+    two arrows costs a handful of outgoing-arrow lookups, not one per node."""
+
+    @pytest.mark.parametrize(
+        "walk",
+        [derive_binomial_relations, lambda q: enumerate_cycles(q, 4)],
+        ids=["derive_binomial_relations", "enumerate_cycles"],
+    )
+    def test_outgoing_calls(self, monkeypatch, walk):
+        n = 10**6
+        q = Quiver(
+            n=n, arrows=(Arrow("a", 1, n, weight=1, label="x"), Arrow("b", n, 1, label="y"))
+        )
+        calls = []
+        outgoing = Quiver.outgoing
+
+        def counted(self, node):
+            calls.append(node)
+            return outgoing(self, node)
+
+        monkeypatch.setattr(Quiver, "outgoing", counted)
+        walk(q)
+        assert 0 < len(calls) <= 10
+
+
 def bfs_has_path(q, src, dst):
     """Oracle: a breadth-first search over the arrow list on every call."""
     frontier = [a.target for a in q.arrows if a.source == src]
@@ -407,6 +458,11 @@ class TestQuiverValidation:
         with pytest.raises(ValueError):
             Arrow("x", **numbers)
 
+    @pytest.mark.parametrize("arrow_id", [None, 7, ("a",)])
+    def test_arrow_id_is_a_string(self, arrow_id):
+        with pytest.raises(TypeError):
+            Arrow(arrow_id, 2, 1)
+
     def test_arrow_label_is_a_string(self):
         with pytest.raises(TypeError):
             Arrow("x", 2, 1, label=5)
@@ -477,3 +533,9 @@ class TestJsonRoundTrip:
     def test_missing_fields(self):
         with pytest.raises(QuiverError):
             quiver_from_json('{"arrows": []}')
+
+    @pytest.mark.parametrize("arrow_id", ["null", "7"])
+    def test_arrow_ids_are_not_coerced(self, arrow_id):
+        text = f'{{"n": 2, "arrows": [{{"id": {arrow_id}, "source": 2, "target": 1}}]}}'
+        with pytest.raises(QuiverError, match=r"arrows\[0\]: arrow id"):
+            quiver_from_json(text)
