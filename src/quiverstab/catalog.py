@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .helix import extend_spiral
-from .points import RepresentationPoint
 from .quiver import (
     Arrow,
     Quiver,
@@ -206,6 +204,8 @@ _SPECS = {
     ),
 }
 _PN_DESCRIPTION = "O..O(k) on P^k, any k >= 1"
+# Listed names that stand for a family of entries, each with a buildable instance.
+TEMPLATES = {"pn(k)": "pn(3)"}
 _PN_RE = re.compile(r"pn\((\d+)\)$")
 
 
@@ -272,6 +272,8 @@ def _build(name: str, spec: _Spec) -> CatalogEntry:
     if spec.spiral is None:
         q = replace(base, relations=tuple(fiber_relations(fibers)))
     else:
+        from .helix import extend_spiral
+
         q = extend_spiral(base, len(spec.spiral), labels=spec.spiral)
     _check_label_degrees(name, q, spec.variables)
     _check_hom_dimensions(name, base, fibers, spec.variables)
@@ -286,12 +288,12 @@ def _build(name: str, spec: _Spec) -> CatalogEntry:
 
 
 def entry_names() -> list[str]:
-    return [*_SPECS, "pn(k)"]
+    return [*_SPECS, *TEMPLATES]
 
 
 def entry_description(name: str) -> str:
     """The description of a listed entry name, without building the entry."""
-    return _PN_DESCRIPTION if name == "pn(k)" else _SPECS[name].description
+    return _PN_DESCRIPTION if name in TEMPLATES else _SPECS[name].description
 
 
 @lru_cache(maxsize=None)
@@ -344,6 +346,8 @@ def tautological_point(
     is required exactly for total-space entries.  Coordinates and the fiber
     value follow ``as_fraction``.
     """
+    from .points import RepresentationPoint
+
     vals = _coerce_cox(entry, cox_values)
     check_irrelevant_locus(entry, vals)
     if entry.fiber and fiber_value is None:

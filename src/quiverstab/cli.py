@@ -13,12 +13,7 @@ from pathlib import Path as FsPath
 
 import click
 
-from . import catalog as cat
-from . import helix as hx
-from . import invariants as inv
-from . import points as pts
 from . import quiver as qv
-from . import stability as st
 
 CATALOG_ENV = "QUIVERSTAB_CATALOG"
 
@@ -37,28 +32,45 @@ def _read_json(path, what: str, build):
         raise click.UsageError(f"bad {what}: {exc}")
 
 
+def _catalog_entry(name: str):
+    """The built-in entry of that name, or None.  A template name such as
+    ``pn(k)`` exits 2 with a concrete name to give instead."""
+    from . import catalog as cat
+
+    if name in cat.TEMPLATES:
+        raise click.UsageError(
+            f"{name!r} is a template, not an entry; give a size, e.g. {cat.TEMPLATES[name]}"
+        )
+    try:
+        return cat.get_entry(name)
+    except cat.UnknownEntryError:
+        return None
+
+
 def _load_quiver(example: str | None, quiver_path: str | None):
     """Resolve the quiver (and catalog entry, if any) from the CLI options."""
     if (example is None) == (quiver_path is None):
         raise click.UsageError("give exactly one of --example or --quiver")
     if quiver_path is not None:
         return _read_json(quiver_path, "quiver file", qv.quiver_from_dict), None
-    try:
-        entry = cat.get_entry(example)
+    entry = _catalog_entry(example)
+    if entry is not None:
         return entry.quiver, entry
-    except cat.UnknownEntryError:
-        pass
     root = os.environ.get(CATALOG_ENV)
     if root:
         path = FsPath(root) / f"{example}.json"
         if path.exists():
             return _read_json(path, "quiver file", qv.quiver_from_dict), None
+    from . import catalog as cat
+
     raise click.UsageError(
         f"unknown example {example!r}; built-ins are {', '.join(cat.entry_names())}"
     )
 
 
 def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
+    from . import stability as st
+
     if (chi is None) == (chi_file is None):
         raise click.UsageError("give exactly one of --chi or --chi-file")
     if chi_file is not None:
@@ -76,6 +88,8 @@ def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
 def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMatrix:
     """The weight matrix of --m entries or of --m-file.  With ``n`` None the
     size is inferred: the file's row count, or the largest entry index."""
+    from . import stability as st
+
     if m_entries and m_file:
         raise click.UsageError("give --m entries or --m-file, not both")
     if m_file is not None:
@@ -110,6 +124,8 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
     if (point_path is None) == (taut is None):
         raise click.UsageError("give exactly one of --point or --taut")
     if point_path is not None:
+        from . import points as pts
+
         return _read_json(
             point_path,
             "point file",
@@ -117,6 +133,8 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
         )
     if entry is None:
         raise click.UsageError("--taut needs a catalog --example with coordinate data")
+    from . import catalog as cat
+
     try:
         return cat.tautological_point(entry, taut.split(":"), fiber)
     except cat.IrrelevantLocusError as exc:
@@ -149,16 +167,17 @@ def main():
 def catalog_cmd(name, fmt):
     """List the built-in examples, or export one as quiver JSON."""
     if name is None:
-        rows = [(nm, cat.entry_description(nm)) for nm in cat.entry_names()]
+        from . import catalog as cat
+
+        rows = [(nm, cat.entry_description(nm), nm in cat.TEMPLATES) for nm in cat.entry_names()]
         _emit(
-            {"entries": [{"name": a, "description": b} for a, b in rows]},
-            [f"{a:14} {b}" for a, b in rows],
+            {"entries": [{"name": a, "description": b, "template": t} for a, b, t in rows]},
+            [f"{a:14} {b}" for a, b, _ in rows],
             fmt,
         )
         return
-    try:
-        entry = cat.get_entry(name)
-    except cat.UnknownEntryError:
+    entry = _catalog_entry(name)
+    if entry is None:
         raise click.UsageError(f"unknown example {name!r}")
     click.echo(qv.quiver_to_json(entry.quiver))
 
@@ -175,6 +194,9 @@ def catalog_cmd(name, fmt):
 @_format_option
 def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, strict, fmt):
     """King (semi)stability of a point for a character."""
+    from . import points as pts
+    from . import stability as st
+
     q, entry = _load_quiver(example, quiver_path)
     character = _parse_chi(q, chi, chi_file)
     p = _load_point(q, entry, point_path, taut, fiber)
@@ -209,6 +231,8 @@ def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
     These are sufficiency certificates: an uncertified outcome means
     'not certified', not a proof of failure.
     """
+    from . import stability as st
+
     q, _ = _load_quiver(example, quiver_path)
     # before the weights: their matrix is n x n, and a gg table bounds n by the input size
     if q.gg is None:
@@ -247,13 +271,25 @@ def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
 @main.command("character")
 @click.option("--m", "m_entries", multiple=True, help="weight entries like 1@1,4")
 @click.option("--m-file")
-@click.option("--n", "size", type=int, help="number of nodes (default: inferred)")
+@click.option(
+    "--n", "size", type=click.IntRange(min=1), help="number of nodes (default: inferred)"
+)
 @click.option("--spiral", is_flag=True, help="add the canonical spiral shift (-1,0,...,0,1)")
 @_format_option
 def character_cmd(m_entries, m_file, size, spiral, fmt):
     """Character generated by a weight matrix."""
     m = _parse_weights(size, m_entries, m_file)
-    character = hx.theorem43_character(m) if spiral else st.character_from_weights(m)
+    if spiral:
+        from . import helix as hx
+
+        try:
+            character = hx.theorem43_character(m)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+    else:
+        from . import stability as st
+
+        character = st.character_from_weights(m)
     _emit({"chi": list(character.chi)}, [f"chi = {list(character.chi)}"], fmt)
 
 
@@ -267,6 +303,9 @@ def character_cmd(m_entries, m_file, size, spiral, fmt):
 @_format_option
 def supports_cmd(example, quiver_path, point_path, taut, fiber, strict, fmt):
     """Subrepresentation supports of a point."""
+    from . import points as pts
+    from . import stability as st
+
     q, entry = _load_quiver(example, quiver_path)
     p = _load_point(q, entry, point_path, taut, fiber)
     ok = pts.satisfies_relations(q, p)
@@ -293,6 +332,8 @@ def supports_cmd(example, quiver_path, point_path, taut, fiber, strict, fmt):
 @_format_option
 def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
     """King inequalities of a point's support family, in polyhedral form."""
+    from . import stability as st
+
     q, entry = _load_quiver(example, quiver_path)
     p = _load_point(q, entry, point_path, taut, fiber)
     try:
@@ -313,6 +354,8 @@ def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
 @_format_option
 def cycles_cmd(example, quiver_path, max_len, fmt):
     """Closed walks up to rotation, the generators of the invariant functions."""
+    from . import invariants as inv
+
     q, _ = _load_quiver(example, quiver_path)
     if max_len is None:
         max_len = 2 * q.n
@@ -327,7 +370,7 @@ def cycles_cmd(example, quiver_path, max_len, fmt):
 
 @main.command("separate")
 @click.option("--example", required=True)
-@click.option("--pairs", type=int, default=100, show_default=True)
+@click.option("--pairs", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option(
     "--max-len", type=click.IntRange(min=1), default=None, help="cycle length cap (default 2n)"
 )
@@ -335,6 +378,8 @@ def cycles_cmd(example, quiver_path, max_len, fmt):
 @_format_option
 def separate_cmd(example, pairs, max_len, seed, fmt):
     """Sample point pairs on a total-space entry and test invariant separation."""
+    from . import invariants as inv
+
     _, entry = _load_quiver(example, None)
     if entry is None or not entry.fiber:
         raise click.UsageError(f"example {example!r} has no fiber data")
@@ -358,6 +403,8 @@ def separate_cmd(example, pairs, max_len, seed, fmt):
 @click.option("--labels", help="comma-separated labels for the added arrows")
 def extend_cmd(example, quiver_path, added_dim, labels):
     """Spiral-extend a chain quiver; prints the extended quiver as JSON."""
+    from . import helix as hx
+
     q, _ = _load_quiver(example, quiver_path)
     label_list = labels.split(",") if labels else None
     try:

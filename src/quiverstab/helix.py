@@ -12,7 +12,6 @@ from .quiver import (
     QuiverError,
     derive_binomial_relations,
 )
-from .stability import Character, WeightMatrix, character_from_weights
 
 PicVector = tuple[int, ...]
 
@@ -61,7 +60,14 @@ def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None
 
 
 def theorem43_character(m: WeightMatrix) -> Character:
-    """The canonical-polarization character: chi_m plus (-1, 0, ..., 0, 1)."""
+    """The canonical-polarization character: chi_m plus (-1, 0, ..., 0, 1).
+
+    The shift needs two distinct end nodes, so n < 2 raises ``ValueError``.
+    """
+    from .stability import Character, character_from_weights
+
+    if m.n < 2:
+        raise ValueError(f"the spiral shift needs at least 2 nodes, not {m.n}")
     base = character_from_weights(m)
     shift = (-1,) + (0,) * (m.n - 2) + (1,)
     return Character(tuple(c + s for c, s in zip(base.chi, shift)))

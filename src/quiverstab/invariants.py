@@ -43,10 +43,6 @@ class CycleMonomial:
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
 
-    def rotations(self) -> list["CycleMonomial"]:
-        k = len(self.arrows)
-        return [CycleMonomial(self.arrows[i:] + self.arrows[:i]) for i in range(k)]
-
     def canonical(self) -> "CycleMonomial":
         ids = self.arrow_ids()
         k = min(range(len(ids)), key=lambda i: ids[i:] + ids[:i])
@@ -89,6 +85,29 @@ def invariant_vector(
 # ---------------------------------------------------------------------------
 
 
+def _tautological_functions(cycles: list[CycleMonomial]):
+    """The distinct functions the cycles give on tautological points, each
+    as (label exponents, total weight): there a closed walk's value is
+    ``cox ** exponents * fiber ** weight``, so two such points agree on
+    every walk iff they agree on these."""
+    functions = set()
+    for c in cycles:
+        path = c.as_path()
+        functions.add((tuple(sorted(path.label_exponents().items())), path.total_weight))
+    return sorted(functions)
+
+
+def _tautological_values(functions, names, cox, fiber) -> tuple[Fraction, ...]:
+    coords = dict(zip(names, cox))
+    values = []
+    for exponents, weight in functions:
+        v = fiber**weight
+        for var, e in exponents:
+            v *= coords[var] ** e
+        values.append(v)
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     cycles: int
@@ -116,13 +135,16 @@ def separation_experiment(
     count how many are separated by cycle invariants up to max_len.
 
     Collisions are reported, never dismissed: generic separation promises a
-    dense open set, not every pair.
+    dense open set, not every pair.  Points are compared on the distinct
+    functions the walks give on tautological points, not walk by walk;
+    ``cycles`` in the report still counts walks.
     """
     from . import catalog  # deferred: catalog builds on this module's siblings
 
     if not entry.fiber:
         raise ValueError(f"entry {entry.name!r} has no fiber data")
     cycles = enumerate_cycles(entry.quiver, max_len)
+    functions = _tautological_functions(cycles)
     rng = random.Random(seed)
     separated = 0
     pairs = 0
@@ -135,9 +157,9 @@ def separation_experiment(
         ):
             continue
         pairs += 1
-        p1 = catalog.tautological_point(entry, cox1, lam1)
-        p2 = catalog.tautological_point(entry, cox2, lam2)
-        if invariant_vector(cycles, p1) != invariant_vector(cycles, p2):
+        if _tautological_values(functions, entry.var_names, cox1, lam1) != (
+            _tautological_values(functions, entry.var_names, cox2, lam2)
+        ):
             separated += 1
         else:
             collisions.append(

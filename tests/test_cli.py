@@ -29,6 +29,32 @@ class TestCatalogCommand:
         data = json.loads(result.output)
         assert any(e["name"] == "f1" for e in data["entries"])
 
+    def test_list_json_marks_templates(self, runner):
+        result = runner.invoke(main, ["catalog", "--format", "json"])
+        rows = json.loads(result.output)["entries"]
+        assert {e["name"]: e["template"] for e in rows} == {
+            "p2": False,
+            "f1": False,
+            "p1xp1": False,
+            "p2-helix": False,
+            "p1xp1-spiral": False,
+            "pn(k)": True,
+        }
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["catalog", "pn(k)"],
+            ["check", "--example", "pn(k)", "--chi=-1,0,1", "--taut", "1:2:3"],
+            ["separate", "--example", "pn(k)"],
+        ],
+    )
+    def test_template_name_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "template" in result.output and "pn(3)" in result.output
+
     def test_export_round_trip(self, runner):
         result = runner.invoke(main, ["catalog", "f1"])
         assert result.exit_code == 0
@@ -349,6 +375,13 @@ class TestCharacterCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output) == {"chi": [-1, 1, 0]}
 
+    @pytest.mark.parametrize("args", [["--n", "1", "--spiral"], ["--n", "0"], ["--n", "-1"]])
+    def test_fewer_than_two_nodes_exits_2(self, runner, args):
+        result = runner.invoke(main, ["character", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
     def test_needs_size(self, runner):
         result = runner.invoke(main, ["character"])
         assert result.exit_code == 2
@@ -405,6 +438,13 @@ class TestCyclesAndSeparate:
     @pytest.mark.parametrize("command", ["cycles", "separate"])
     def test_max_len_zero_exits_2(self, runner, command):
         result = runner.invoke(main, [command, "--example", "p2-helix", "--max-len", "0"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_non_positive_pairs_exits_2(self, runner, pairs):
+        result = runner.invoke(main, ["separate", "--example", "p2-helix", "--pairs", pairs])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output

@@ -88,6 +88,11 @@ class TestTheorem43Character:
         m = WeightMatrix.from_entries(4, {(1, 2): 1, (1, 3): 1})
         assert theorem43_character(m).chi == (-3, 1, 1, 1)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_nodes(self, n):
+        with pytest.raises(ValueError):
+            theorem43_character(WeightMatrix.zero(n))
+
     def test_equals_incremented_weight_character(self):
         rng = random.Random(31)
         for _ in range(30):

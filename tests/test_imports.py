@@ -1,0 +1,106 @@
+"""What a process loads: ``import quiverstab`` loads none of the package's
+modules, and a command-line process loads only the modules its command
+runs.  Each check runs in a fresh interpreter, since this test process has
+long since imported everything."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import quiverstab
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def _package_modules(names) -> set[str]:
+    return {m for m in names if m == "quiverstab" or m.startswith("quiverstab.")}
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("quiverstab", {"quiverstab"}),
+        ("quiverstab.cli", {"quiverstab", "quiverstab.cli", "quiverstab.quiver"}),
+    ],
+)
+def test_import_loads_only(module, loaded):
+    proc = _python("-c", f"import sys, {module}; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert _package_modules(proc.stdout.split()) == loaded
+
+
+# As `python -m quiverstab.cli` does, runpy runs cli.py as __main__, so
+# quiverstab.cli itself is never imported.  `catalog --format json` loads
+# neither stability nor invariants; stability needs points for its relation
+# check, so every command that loads stability loads points too.
+_RUN_CLI = """\
+import atexit, runpy, sys
+atexit.register(lambda: print(*sys.modules, file=sys.stderr))
+runpy.run_module("quiverstab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "args,modules",
+    [
+        (["catalog", "--format", "json"], {"catalog"}),
+        (["catalog", "f1"], {"catalog"}),
+        (
+            ["character", "--m", "1@1,2", "--n", "3", "--spiral"],
+            {"helix", "points", "stability"},
+        ),
+        (["extend", "--example", "p2", "--added-dim", "1"], {"catalog", "helix"}),
+        (
+            ["certify", "--example", "f1", "--m", "1@1,4"],
+            {"catalog", "points", "stability"},
+        ),
+        (
+            ["check", "--example", "p2", "--chi=-1,0,1", "--taut", "1:2:3"],
+            {"catalog", "points", "stability"},
+        ),
+        (
+            ["cycles", "--example", "p2-helix", "--max-len", "3"],
+            {"catalog", "helix", "invariants", "points"},
+        ),
+    ],
+)
+def test_command_loads_only_its_modules(args, modules):
+    proc = _python("-c", _RUN_CLI, *args)
+    assert proc.returncode == 0, proc.stderr
+    imported = proc.stderr.splitlines()[-1].split()
+    assert _package_modules(imported) == {"quiverstab", "quiverstab.quiver"} | {
+        f"quiverstab.{m}" for m in modules
+    }
+
+
+def test_exported_names_resolve_to_their_home_objects():
+    for name in quiverstab.__all__:
+        value = getattr(quiverstab, name)
+        if isinstance(value, ModuleType):
+            assert value is importlib.import_module(f"quiverstab.{name}")
+        else:
+            home = importlib.import_module(value.__module__)
+            assert home.__name__.startswith("quiverstab.")
+            assert getattr(home, name) is value, name
+    namespace: dict = {}
+    exec("from quiverstab import *", namespace)
+    assert all(namespace[name] is getattr(quiverstab, name) for name in quiverstab.__all__)
+    assert set(quiverstab.__all__) <= set(dir(quiverstab))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        quiverstab.no_such_name

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from quiverstab.catalog import get_entry, sample_geometric_point, tautological_point
+from quiverstab.catalog import (
+    canonical_geometric_form,
+    get_entry,
+    sample_geometric_point,
+    tautological_point,
+)
 from quiverstab.invariants import (
     CycleMonomial,
+    SeparationReport,
     enumerate_cycles,
     evaluate_invariant,
     invariant_vector,
@@ -15,6 +21,39 @@ from quiverstab.points import RepresentationPoint, TorusElement, torus_act
 from quiverstab.quiver import Arrow, Quiver, QuiverError
 
 HELIX = get_entry("p2-helix")
+
+
+def rotations(c: CycleMonomial) -> list[CycleMonomial]:
+    k = len(c.arrows)
+    return [CycleMonomial(c.arrows[i:] + c.arrows[:i]) for i in range(k)]
+
+
+def path_product_separation(entry, samples: int, max_len: int, seed: int) -> SeparationReport:
+    """The oracle: the same sampled pairs, each point built as a
+    tautological point and compared walk by walk on path products."""
+    cycles = enumerate_cycles(entry.quiver, max_len)
+    rng = random.Random(seed)
+    separated = 0
+    pairs = 0
+    collisions = []
+    while pairs < samples:
+        cox1, lam1 = sample_geometric_point(entry, rng)
+        cox2, lam2 = sample_geometric_point(entry, rng)
+        if canonical_geometric_form(entry, cox1, lam1) == canonical_geometric_form(entry, cox2, lam2):
+            continue
+        pairs += 1
+        p1 = tautological_point(entry, cox1, lam1)
+        p2 = tautological_point(entry, cox2, lam2)
+        if invariant_vector(cycles, p1) != invariant_vector(cycles, p2):
+            separated += 1
+        else:
+            collisions.append(
+                {
+                    "first": {"cox": [str(v) for v in cox1], "fiber": str(lam1)},
+                    "second": {"cox": [str(v) for v in cox2], "fiber": str(lam2)},
+                }
+            )
+    return SeparationReport(len(cycles), pairs, separated, tuple(collisions))
 
 
 class TestEnumerateCycles:
@@ -36,7 +75,7 @@ class TestEnumerateCycles:
         cycles = enumerate_cycles(HELIX.quiver, 3)
         canon = {c.arrow_ids() for c in cycles}
         for c in cycles:
-            for rot in c.rotations():
+            for rot in rotations(c):
                 assert rot.canonical().arrow_ids() in canon
 
     def test_min_length_one(self):
@@ -72,7 +111,7 @@ class TestEvaluateInvariant:
     def test_rotation_invariance(self):
         p = tautological_point(HELIX, [1, 2, 3], Fraction(7, 2))
         c = self.cycle()
-        values = {evaluate_invariant(r, p) for r in c.rotations()}
+        values = {evaluate_invariant(r, p) for r in rotations(c)}
         assert len(values) == 1
 
     def test_torus_invariance_exact(self):
@@ -115,6 +154,14 @@ class TestSeparationExperiment:
         p2 = tautological_point(HELIX, [1, 2, 3], 7)
         assert invariant_vector(cycles, p1) != invariant_vector(cycles, p2)
 
+    def test_pairs_differing_in_fiber_alone_are_separated(self, monkeypatch):
+        draws = iter([((1, 2, 3), 5), ((1, 2, 3), 7)] * 4)
+        monkeypatch.setattr(
+            "quiverstab.catalog.sample_geometric_point", lambda entry, rng: next(draws)
+        )
+        report = separation_experiment(HELIX, samples=4, max_len=3, seed=0)
+        assert (report.pairs, report.separated) == (4, 4)
+
     def test_requires_fiber_entry(self):
         with pytest.raises(ValueError):
             separation_experiment(get_entry("p2"), samples=2, max_len=3, seed=0)
@@ -129,3 +176,14 @@ class TestSeparationExperiment:
         report = separation_experiment(entry, samples=10, max_len=4, seed=3)
         assert report.pairs == 10
         assert report.separated + len(report.collisions) == 10
+
+    # max_len 3 gives p1xp1-spiral no closed walk, so every pair collides there
+    @pytest.mark.parametrize(
+        "name,max_len",
+        [("p2-helix", 3), ("p2-helix", 6), ("p1xp1-spiral", 3), ("p1xp1-spiral", 8)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_path_products(self, name, max_len, seed):
+        entry = get_entry(name)
+        report = separation_experiment(entry, samples=12, max_len=max_len, seed=seed)
+        assert report == path_product_separation(entry, 12, max_len, seed)
