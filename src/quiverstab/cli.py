@@ -1,25 +1,31 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's ``argparse``.
 
 Exit codes: 0 on success, 1 on domain errors (e.g. a point violating the
-relations under --strict), 2 on input or parse errors.  Reports are
+relations under --strict), 2 on input or parse errors.  An error prints one
+``Error: <message>`` line to stderr, last, with no traceback; input and
+parse errors print the command's usage before it.  Reports are
 deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import sys
 from pathlib import Path as FsPath
-
-import click
 
 from . import quiver as qv
 
 CATALOG_ENV = "QUIVERSTAB_CATALOG"
 
 
-class DomainError(click.ClickException):
-    exit_code = 1
+class UsageError(Exception):
+    """Bad input: exit 2, after the command's usage."""
+
+
+class DomainError(Exception):
+    """Well-formed input that the mathematics rejects: exit 1."""
 
 
 def _read_json(path, what: str, build):
@@ -29,7 +35,7 @@ def _read_json(path, what: str, build):
     try:
         return build(json.loads(FsPath(path).read_text()))
     except (LookupError, OSError, RecursionError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad {what}: {exc}")
+        raise UsageError(f"bad {what}: {exc}")
 
 
 def _catalog_entry(name: str):
@@ -38,7 +44,7 @@ def _catalog_entry(name: str):
     from . import catalog as cat
 
     if name in cat.TEMPLATES:
-        raise click.UsageError(
+        raise UsageError(
             f"{name!r} is a template, not an entry; give a size, e.g. {cat.TEMPLATES[name]}"
         )
     try:
@@ -50,7 +56,7 @@ def _catalog_entry(name: str):
 def _load_quiver(example: str | None, quiver_path: str | None):
     """Resolve the quiver (and catalog entry, if any) from the CLI options."""
     if (example is None) == (quiver_path is None):
-        raise click.UsageError("give exactly one of --example or --quiver")
+        raise UsageError("give exactly one of --example or --quiver")
     if quiver_path is not None:
         return _read_json(quiver_path, "quiver file", qv.quiver_from_dict), None
     entry = _catalog_entry(example)
@@ -63,7 +69,7 @@ def _load_quiver(example: str | None, quiver_path: str | None):
             return _read_json(path, "quiver file", qv.quiver_from_dict), None
     from . import catalog as cat
 
-    raise click.UsageError(
+    raise UsageError(
         f"unknown example {example!r}; built-ins are {', '.join(cat.entry_names())}"
     )
 
@@ -72,16 +78,16 @@ def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
     from . import stability as st
 
     if (chi is None) == (chi_file is None):
-        raise click.UsageError("give exactly one of --chi or --chi-file")
+        raise UsageError("give exactly one of --chi or --chi-file")
     if chi_file is not None:
         character = _read_json(chi_file, "character file", lambda data: st.Character(data["chi"]))
     else:
         try:
             character = st.Character([int(x) for x in chi.split(",")])
         except ValueError as exc:
-            raise click.UsageError(f"bad character {chi!r}: {exc}")
+            raise UsageError(f"bad character {chi!r}: {exc}")
     if character.n != q.n:
-        raise click.UsageError(f"character length {character.n} != quiver nodes {q.n}")
+        raise UsageError(f"character length {character.n} != quiver nodes {q.n}")
     return character
 
 
@@ -91,11 +97,11 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
     from . import stability as st
 
     if m_entries and m_file:
-        raise click.UsageError("give --m entries or --m-file, not both")
+        raise UsageError("give --m entries or --m-file, not both")
     if m_file is not None:
         m = _read_json(m_file, "weight file", lambda data: st.WeightMatrix(data["m"]))
         if n is not None and m.n != n:
-            raise click.UsageError(f"weight matrix size {m.n} != {n} nodes")
+            raise UsageError(f"weight matrix size {m.n} != {n} nodes")
         return m
     parsed = []
     for spec in m_entries:
@@ -104,25 +110,25 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
             i, j = (int(x) for x in pair.split(","))
             parsed.append((spec, i, j, int(value)))
         except ValueError:
-            raise click.UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
+            raise UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
     if n is None:
         if not parsed:
-            raise click.UsageError("give --n when no weight entries are supplied")
+            raise UsageError("give --n when no weight entries are supplied")
         n = max(max(i, j) for _, i, j, _ in parsed)
     entries: dict[tuple[int, int], int] = {}
     for spec, i, j, value in parsed:
         if not (1 <= i <= n and 1 <= j <= n):
-            raise click.UsageError(f"weight entry {spec!r} out of range 1..{n}")
+            raise UsageError(f"weight entry {spec!r} out of range 1..{n}")
         entries[(i, j)] = entries.get((i, j), 0) + value
     try:
         return st.WeightMatrix.from_entries(n, entries)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
     if (point_path is None) == (taut is None):
-        raise click.UsageError("give exactly one of --point or --taut")
+        raise UsageError("give exactly one of --point or --taut")
     if point_path is not None:
         from . import points as pts
 
@@ -132,7 +138,7 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
             lambda data: pts.RepresentationPoint.for_quiver(q, pts.point_from_dict(data).as_dict()),
         )
     if entry is None:
-        raise click.UsageError("--taut needs a catalog --example with coordinate data")
+        raise UsageError("--taut needs a catalog --example with coordinate data")
     from . import catalog as cat
 
     try:
@@ -140,30 +146,103 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
     except cat.IrrelevantLocusError as exc:
         raise DomainError(str(exc))
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _emit(result: dict, text_lines: list[str], fmt: str):
     if fmt == "json":
-        click.echo(json.dumps(result, indent=2))
+        print(json.dumps(result, indent=2))
     else:
         for line in text_lines:
-            click.echo(line)
+            print(line)
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
+class _Parser(argparse.ArgumentParser):
+    """An ``argparse`` parser that differs from the default in three ways.
+
+    The token after an option that takes a value is that value, even when it
+    starts with a dash (``--chi -1,0,1``, ``--fiber -1/2``); long options
+    are never abbreviated; and a parse error exits 2 with the usage and a
+    last line ``Error: <message>``."""
+
+    def __init__(self, *args, **kwargs):
+        self.value_options: set[str] = set()
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for token in tokens:
+            if token == "--":
+                joined += [token, *tokens]
+            elif token in self.value_options:
+                value = next(tokens, None)
+                joined.append(token if value is None else f"{token}={value}")
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        usage = self.format_usage().removeprefix("usage: ")
+        self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\nError: {message}\n")
+
+
+def _at_least_one(text: str) -> int:
+    """The type of the options that count or size something."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+_PARSER = _Parser(
+    prog="quiverstab",
+    description="Stability, certification, and invariants for quivers of line bundles.",
+)
+_COMMANDS = _PARSER.add_subparsers(
+    dest="command", required=True, title="commands", metavar="COMMAND"
 )
 
 
-@click.group()
-def main():
-    """Stability, certification, and invariants for quivers of line bundles."""
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-@main.command("catalog")
-@click.argument("name", required=False)
-@_format_option
+_QUIVER_ARGS = (_arg("--example"), _arg("--quiver", dest="quiver_path", metavar="FILE"))
+_POINT_ARGS = (_arg("--point", dest="point_path", metavar="FILE"), _arg("--taut"), _arg("--fiber"))
+_WEIGHT_ARGS = (
+    _arg("--m", dest="m_entries", action="append", default=[], help="weight entries like 1@1,4"),
+    _arg("--m-file"),
+)
+_FORMAT_ARG = _arg("--format", dest="fmt", choices=("text", "json"), default="text")
+
+
+def _command(name: str, *arguments):
+    """Register a function as the command ``name``, taking the options of
+    its ``(flags, add_argument keywords)`` pairs as keyword arguments."""
+
+    def register(run):
+        sub = _COMMANDS.add_parser(
+            name, help=run.__doc__.splitlines()[0], description=run.__doc__
+        )
+        for flags, kwargs in arguments:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=run)
+        return run
+
+    return register
+
+
+@_command("catalog", _arg("name", nargs="?"), _FORMAT_ARG)
 def catalog_cmd(name, fmt):
     """List the built-in examples, or export one as quiver JSON."""
     if name is None:
@@ -178,20 +257,19 @@ def catalog_cmd(name, fmt):
         return
     entry = _catalog_entry(name)
     if entry is None:
-        raise click.UsageError(f"unknown example {name!r}")
-    click.echo(qv.quiver_to_json(entry.quiver))
+        raise UsageError(f"unknown example {name!r}")
+    print(qv.quiver_to_json(entry.quiver))
 
 
-@main.command("check")
-@click.option("--example")
-@click.option("--quiver", "quiver_path")
-@click.option("--chi")
-@click.option("--chi-file")
-@click.option("--point", "point_path")
-@click.option("--taut")
-@click.option("--fiber")
-@click.option("--strict", is_flag=True, help="fail (exit 1) if the point violates relations")
-@_format_option
+@_command(
+    "check",
+    *_QUIVER_ARGS,
+    _arg("--chi"),
+    _arg("--chi-file"),
+    *_POINT_ARGS,
+    _arg("--strict", action="store_true", help="fail (exit 1) if the point violates relations"),
+    _FORMAT_ARG,
+)
 def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, strict, fmt):
     """King (semi)stability of a point for a character."""
     from . import points as pts
@@ -219,12 +297,7 @@ def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, stri
     _emit(result, lines, fmt)
 
 
-@main.command("certify")
-@click.option("--example")
-@click.option("--quiver", "quiver_path")
-@click.option("--m", "m_entries", multiple=True, help="weight entries like 1@1,4")
-@click.option("--m-file")
-@_format_option
+@_command("certify", *_QUIVER_ARGS, *_WEIGHT_ARGS, _FORMAT_ARG)
 def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
     """Certify the character of a weight matrix as good/great.
 
@@ -236,7 +309,7 @@ def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
     q, _ = _load_quiver(example, quiver_path)
     # before the weights: their matrix is n x n, and a gg table bounds n by the input size
     if q.gg is None:
-        raise click.UsageError("good certificate needs the gg table")
+        raise UsageError("good certificate needs the gg table")
     m = _parse_weights(q.n, m_entries, m_file)
     great = st.certify_great(q, m)
     good = great.good
@@ -268,14 +341,13 @@ def certify_cmd(example, quiver_path, m_entries, m_file, fmt):
     _emit(result, lines, fmt)
 
 
-@main.command("character")
-@click.option("--m", "m_entries", multiple=True, help="weight entries like 1@1,4")
-@click.option("--m-file")
-@click.option(
-    "--n", "size", type=click.IntRange(min=1), help="number of nodes (default: inferred)"
+@_command(
+    "character",
+    *_WEIGHT_ARGS,
+    _arg("--n", dest="size", type=_at_least_one, help="number of nodes (default: inferred)"),
+    _arg("--spiral", action="store_true", help="add the canonical spiral shift (-1,0,...,0,1)"),
+    _FORMAT_ARG,
 )
-@click.option("--spiral", is_flag=True, help="add the canonical spiral shift (-1,0,...,0,1)")
-@_format_option
 def character_cmd(m_entries, m_file, size, spiral, fmt):
     """Character generated by a weight matrix."""
     m = _parse_weights(size, m_entries, m_file)
@@ -285,7 +357,7 @@ def character_cmd(m_entries, m_file, size, spiral, fmt):
         try:
             character = hx.theorem43_character(m)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
     else:
         from . import stability as st
 
@@ -293,14 +365,9 @@ def character_cmd(m_entries, m_file, size, spiral, fmt):
     _emit({"chi": list(character.chi)}, [f"chi = {list(character.chi)}"], fmt)
 
 
-@main.command("supports")
-@click.option("--example")
-@click.option("--quiver", "quiver_path")
-@click.option("--point", "point_path")
-@click.option("--taut")
-@click.option("--fiber")
-@click.option("--strict", is_flag=True)
-@_format_option
+@_command(
+    "supports", *_QUIVER_ARGS, *_POINT_ARGS, _arg("--strict", action="store_true"), _FORMAT_ARG
+)
 def supports_cmd(example, quiver_path, point_path, taut, fiber, strict, fmt):
     """Subrepresentation supports of a point."""
     from . import points as pts
@@ -323,13 +390,7 @@ def supports_cmd(example, quiver_path, point_path, taut, fiber, strict, fmt):
     )
 
 
-@main.command("cone")
-@click.option("--example")
-@click.option("--quiver", "quiver_path")
-@click.option("--point", "point_path")
-@click.option("--taut")
-@click.option("--fiber")
-@_format_option
+@_command("cone", *_QUIVER_ARGS, *_POINT_ARGS, _FORMAT_ARG)
 def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
     """King inequalities of a point's support family, in polyhedral form."""
     from . import stability as st
@@ -345,13 +406,12 @@ def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
     _emit(cone.to_dict(), lines, fmt)
 
 
-@main.command("cycles")
-@click.option("--example")
-@click.option("--quiver", "quiver_path")
-@click.option(
-    "--max-len", type=click.IntRange(min=1), default=None, help="walk length cap (default 2n)"
+@_command(
+    "cycles",
+    *_QUIVER_ARGS,
+    _arg("--max-len", type=_at_least_one, help="walk length cap (default 2n)"),
+    _FORMAT_ARG,
 )
-@_format_option
 def cycles_cmd(example, quiver_path, max_len, fmt):
     """Closed walks up to rotation, the generators of the invariant functions."""
     from . import invariants as inv
@@ -368,21 +428,21 @@ def cycles_cmd(example, quiver_path, max_len, fmt):
     )
 
 
-@main.command("separate")
-@click.option("--example", required=True)
-@click.option("--pairs", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option(
-    "--max-len", type=click.IntRange(min=1), default=None, help="cycle length cap (default 2n)"
+@_command(
+    "separate",
+    _arg("--example", required=True),
+    _arg("--pairs", type=_at_least_one, default=100, help="(default 100)"),
+    _arg("--max-len", type=_at_least_one, help="cycle length cap (default 2n)"),
+    _arg("--seed", type=int, default=0, help="(default 0)"),
+    _FORMAT_ARG,
 )
-@click.option("--seed", type=int, default=0, show_default=True)
-@_format_option
 def separate_cmd(example, pairs, max_len, seed, fmt):
     """Sample point pairs on a total-space entry and test invariant separation."""
     from . import invariants as inv
 
     _, entry = _load_quiver(example, None)
     if entry is None or not entry.fiber:
-        raise click.UsageError(f"example {example!r} has no fiber data")
+        raise UsageError(f"example {example!r} has no fiber data")
     if max_len is None:
         max_len = 2 * entry.quiver.n
     report = inv.separation_experiment(entry, pairs, max_len, seed)
@@ -396,22 +456,46 @@ def separate_cmd(example, pairs, max_len, seed, fmt):
     _emit(report.to_dict(), lines, fmt)
 
 
-@main.command("extend")
-@click.option("--example")
-@click.option("--quiver", "quiver_path")
-@click.option("--added-dim", type=int, required=True)
-@click.option("--labels", help="comma-separated labels for the added arrows")
+@_command(
+    "extend",
+    *_QUIVER_ARGS,
+    _arg("--added-dim", type=_at_least_one, required=True),
+    _arg("--labels", help="comma-separated labels for the added arrows"),
+)
 def extend_cmd(example, quiver_path, added_dim, labels):
     """Spiral-extend a chain quiver; prints the extended quiver as JSON."""
     from . import helix as hx
 
     q, _ = _load_quiver(example, quiver_path)
     label_list = labels.split(",") if labels else None
+    if label_list is not None and len(label_list) != added_dim:
+        raise UsageError(f"expected {added_dim} labels, got {len(label_list)}")
     try:
         extended = hx.extend_spiral(q, added_dim, labels=label_list)
     except qv.QuiverError as exc:
         raise DomainError(str(exc))
-    click.echo(qv.quiver_to_json(extended))
+    print(qv.quiver_to_json(extended))
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command; ``argv`` defaults to the process's arguments."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if not args:
+        _PARSER.print_help(sys.stderr)
+        raise SystemExit(2)
+    namespace, extra = _PARSER.parse_known_args(args)
+    options = vars(namespace)
+    command, run = options.pop("command"), options.pop("run")
+    parser = _COMMANDS.choices[command]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        run(**options)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except DomainError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

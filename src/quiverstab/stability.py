@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .points import RepresentationPoint, satisfies_relations
 from .quiver import Quiver, QuiverError, as_int
+
+if TYPE_CHECKING:
+    from .points import RepresentationPoint
 
 ENUMERATION_CAP = 20
 
@@ -141,8 +143,11 @@ def subrep_supports(q: Quiver, p: RepresentationPoint, warn: bool = True) -> Sup
         raise EnumerationCapError(
             f"subset enumeration over {q.n} nodes exceeds the cap of {ENUMERATION_CAP}"
         )
-    if warn and not satisfies_relations(q, p):
-        warnings.warn("point does not satisfy the quiver relations", stacklevel=2)
+    if warn:
+        from .points import satisfies_relations
+
+        if not satisfies_relations(q, p):
+            warnings.warn("point does not satisfy the quiver relations", stacklevel=2)
     nonzero = _nonzero_arrows(q, p)
     supports = []
     for bits in range(1 << q.n):

@@ -3,17 +3,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from quiverstab.cli import main
 from quiverstab.quiver import quiver_from_json
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 class TestCatalogCommand:
@@ -180,7 +175,6 @@ class TestCheckCommand:
 
         real = points.satisfies_relations
         monkeypatch.setattr("quiverstab.points.satisfies_relations", counting)
-        monkeypatch.setattr("quiverstab.stability.satisfies_relations", counting)
         result = runner.invoke(main, [command, "--example", "pn(4)", "--taut", "1:2:3:4:5", *extra])
         assert result.exit_code == 0, result.output
         assert calls == [5]
@@ -469,6 +463,76 @@ class TestExtendCommand:
         result = runner.invoke(main, ["extend", "--example", "f1", "--added-dim", "1"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--added-dim", "0"], ["--added-dim", "-2"], ["--added-dim", "2", "--labels", "x0"]],
+    )
+    def test_bad_added_dim_or_labels_exits_2(self, runner, extra):
+        result = runner.invoke(main, ["extend", "--example", "p2", *extra])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1].startswith("Error: ")
+
+
+class TestParserParity:
+    """How the command line reads its arguments: an option's value is the
+    next token even when it starts with a dash, long options are never
+    abbreviated, and every parse error exits 2 with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "base,option,value",
+        [
+            (["check", "--example", "p2", "--taut", "1:2:3"], "--chi", "-1,0,1"),
+            (["check", "--example", "p2", "--chi=-1,0,1"], "--taut", "-1:2:3"),
+            (
+                ["check", "--example", "p2-helix", "--chi=-2,1,1", "--taut", "1:2:3"],
+                "--fiber",
+                "-1/2",
+            ),
+        ],
+    )
+    def test_dash_leading_value_in_space_form(self, runner, base, option, value):
+        spaced = runner.invoke(main, [*base, option, value])
+        joined = runner.invoke(main, [*base, f"{option}={value}"])
+        assert spaced.exit_code == 0, spaced.output
+        assert spaced.output == joined.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--ex", "p2", "--chi=-1,0,1", "--taut", "1:2:3"],
+            ["catalog", "--format", "xml"],
+            ["check", "--example"],
+            ["check", "--example", "p2", "--taut", "1:2:3", "--chi"],
+            ["separate", "--example", "p2-helix", "--seed", "x"],
+            ["separate", "--example", "p2-helix", "--pairs", "0"],
+            ["separate", "--pairs", "3"],
+            ["nosuch"],
+            ["catalog", "f1", "p2"],
+        ],
+    )
+    def test_parse_error_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1].startswith("Error: ")
+
+    def test_no_arguments_lists_the_commands_and_exits_2(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        for command in ("catalog", "check", "certify", "character", "supports", "cone", "cycles"):
+            assert command in result.output
+        assert "separate" in result.output and "extend" in result.output
+
+    def test_m_is_repeatable(self, runner):
+        result = runner.invoke(main, ["character", "--m", "1@1,2", "--m", "2@3,1", "--n", "3"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "chi = [1, 1, -2]\n"
+
 
 class TestQuiverFiles:
     def test_quiver_file_round_trip(self, runner, tmp_path):
@@ -612,7 +676,7 @@ class TestBoundaryProperty:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.json"
             path.write_text(json.dumps(value))
-            result = CliRunner().invoke(main, [*args, option, str(path)])
+            result = invoke(main, [*args, option, str(path)])
         assert result.exit_code in (0, 1, 2), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit), repr(
             result.exception

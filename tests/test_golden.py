@@ -12,7 +12,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from quiverstab.catalog import entry_names, get_entry
 from quiverstab.cli import main
@@ -42,7 +42,7 @@ CATALOG_NAMES = [name for name in entry_names() if name != "pn(k)"] + [
 
 
 def _run(command: str) -> str:
-    result = CliRunner().invoke(main, shlex.split(command))
+    result = invoke(main, shlex.split(command))
     assert result.exit_code == 0, result.output
     return result.stdout
 

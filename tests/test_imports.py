@@ -1,10 +1,13 @@
 """What a process loads: ``import quiverstab`` loads none of the package's
-modules, and a command-line process loads only the modules its command
-runs.  Each check runs in a fresh interpreter, since this test process has
-long since imported everything."""
+modules, a command-line process loads only the modules its command runs,
+and nothing outside the standard library.  Each check runs in a fresh
+interpreter, since this test process has long since imported everything."""
 
+import functools
 import importlib
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +17,9 @@ import pytest
 
 import quiverstab
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+GOLDEN = ROOT / "tests" / "golden" / "readme_commands.json"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -44,8 +49,8 @@ def test_import_loads_only(module, loaded):
 
 # As `python -m quiverstab.cli` does, runpy runs cli.py as __main__, so
 # quiverstab.cli itself is never imported.  `catalog --format json` loads
-# neither stability nor invariants; stability needs points for its relation
-# check, so every command that loads stability loads points too.
+# neither stability nor invariants, and only the commands that build or
+# evaluate a point load points.
 _RUN_CLI = """\
 import atexit, runpy, sys
 atexit.register(lambda: print(*sys.modules, file=sys.stderr))
@@ -60,12 +65,12 @@ runpy.run_module("quiverstab.cli", run_name="__main__", alter_sys=True)
         (["catalog", "f1"], {"catalog"}),
         (
             ["character", "--m", "1@1,2", "--n", "3", "--spiral"],
-            {"helix", "points", "stability"},
+            {"helix", "stability"},
         ),
         (["extend", "--example", "p2", "--added-dim", "1"], {"catalog", "helix"}),
         (
             ["certify", "--example", "f1", "--m", "1@1,4"],
-            {"catalog", "points", "stability"},
+            {"catalog", "stability"},
         ),
         (
             ["check", "--example", "p2", "--chi=-1,0,1", "--taut", "1:2:3"],
@@ -84,6 +89,43 @@ def test_command_loads_only_its_modules(args, modules):
     assert _package_modules(imported) == {"quiverstab", "quiverstab.quiver"} | {
         f"quiverstab.{m}" for m in modules
     }
+
+
+@functools.cache
+def _startup_modules() -> frozenset[str]:
+    """What a bare interpreter has loaded, site hooks included."""
+    return frozenset(_python("-c", "import sys; print(*sys.modules)").stdout.split())
+
+
+def _outside_stdlib(names) -> set[str]:
+    """The loaded modules that are neither quiverstab's, nor the standard
+    library's, nor loaded by a bare interpreter's start-up."""
+    startup = _startup_modules()
+    return {
+        m
+        for m in names
+        if m.partition(".")[0] not in sys.stdlib_module_names | {"quiverstab"}
+        and m not in startup
+    }
+
+
+def test_cli_import_loads_only_the_standard_library():
+    proc = _python("-c", "import sys, quiverstab.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert _outside_stdlib(proc.stdout.split()) == set()
+
+
+@pytest.mark.parametrize("command", sorted(json.loads(GOLDEN.read_text())))
+def test_readme_command_loads_only_the_standard_library(command):
+    proc = _python("-c", _RUN_CLI, *shlex.split(command))
+    assert proc.returncode == 0, proc.stderr
+    assert _outside_stdlib(proc.stderr.splitlines()[-1].split()) == set()
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
 
 
 def test_exported_names_resolve_to_their_home_objects():
