@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -23,6 +22,7 @@ from .quiver import (
     Arrow,
     Quiver,
     QuiverError,
+    Record,
     as_fraction,
     fiber_relations,
     path_fibers,
@@ -37,14 +37,26 @@ class IrrelevantLocusError(ValueError):
     """Coordinates land on the irrelevant locus of the toric variety."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    quiver: Quiver
-    cox_variables: tuple[tuple[str, tuple[int, ...]], ...]
-    forbidden_vanishing: tuple[frozenset[str], ...]
-    fiber: bool = False
-    description: str = ""
+class CatalogEntry(Record):
+    _fields = ("name", "quiver", "cox_variables", "forbidden_vanishing", "fiber", "description")
+
+    def __init__(
+        self,
+        name: str,
+        quiver: Quiver,
+        cox_variables: tuple[tuple[str, tuple[int, ...]], ...],
+        forbidden_vanishing: tuple[frozenset[str], ...],
+        fiber: bool = False,
+        description: str = "",
+    ):
+        self.__dict__.update(
+            name=name,
+            quiver=quiver,
+            cox_variables=cox_variables,
+            forbidden_vanishing=forbidden_vanishing,
+            fiber=fiber,
+            description=description,
+        )
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -116,8 +128,7 @@ def monomials_of_degree(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(Record):
     """The fixed data of one entry.
 
     ``levels`` lists ``(source, target, labels)``, one weight-zero arrow
@@ -127,14 +138,38 @@ class _Spec:
     weight-zero chain over the total space of the canonical bundle.
     """
 
-    description: str
-    variables: tuple[tuple[str, tuple[int, ...]], ...]
-    levels: tuple[tuple[int, int, tuple[str, ...]], ...]
-    pic: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
-    forbidden: tuple[frozenset[str], ...]
-    gg: frozenset[tuple[int, int]] | None = None
-    spiral: tuple[str, ...] | None = None
+    _fields = (
+        "description",
+        "variables",
+        "levels",
+        "pic",
+        "canonical",
+        "forbidden",
+        "gg",
+        "spiral",
+    )
+
+    def __init__(
+        self,
+        description: str,
+        variables: tuple[tuple[str, tuple[int, ...]], ...],
+        levels: tuple[tuple[int, int, tuple[str, ...]], ...],
+        pic: tuple[tuple[int, ...], ...],
+        canonical: tuple[int, ...],
+        forbidden: tuple[frozenset[str], ...],
+        gg: frozenset[tuple[int, int]] | None = None,
+        spiral: tuple[str, ...] | None = None,
+    ):
+        self.__dict__.update(
+            description=description,
+            variables=variables,
+            levels=levels,
+            pic=pic,
+            canonical=canonical,
+            forbidden=forbidden,
+            gg=gg,
+            spiral=spiral,
+        )
 
 
 def _pn(dim: int) -> _Spec:
@@ -188,8 +223,7 @@ _SPECS = {
         forbidden=_P1XP1_FORBIDDEN,
         gg=frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}),
     ),
-    "p2-helix": replace(
-        _pn(2),
+    "p2-helix": _pn(2).replace(
         description="helix extension of the P^2 chain on tot(K)",
         spiral=("x0", "x1", "x2"),
     ),
@@ -270,7 +304,7 @@ def _build(name: str, spec: _Spec) -> CatalogEntry:
     base = _weight_zero_quiver(spec)
     fibers = path_fibers(base)
     if spec.spiral is None:
-        q = replace(base, relations=tuple(fiber_relations(fibers)))
+        q = base.replace(relations=tuple(fiber_relations(fibers)))
     else:
         from .helix import extend_spiral
 

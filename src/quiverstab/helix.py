@@ -3,13 +3,13 @@ bookkeeping for the line-bundle data attached to a catalog entry."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .quiver import (
     Arrow,
     Quiver,
     QuiverError,
+    Record,
     derive_binomial_relations,
 )
 
@@ -53,9 +53,7 @@ def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None
         canonical=q.canonical,
     )
     if all(a.label is not None for a in extended.arrows):
-        extended = replace(
-            extended, relations=tuple(derive_binomial_relations(extended))
-        )
+        extended = extended.replace(relations=tuple(derive_binomial_relations(extended)))
     return extended
 
 
@@ -88,8 +86,7 @@ def e_chi_degree(chi: Character, pic: Sequence[PicVector]) -> PicVector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(Record):
     """Degree-level consistency of a weight matrix with the spiral line bundle.
 
     This checks only the Picard-degree shadow of the required sheaf
@@ -97,9 +94,10 @@ class DegreeCheck:
     degree-level check.
     """
 
-    consistent: bool
-    left: PicVector
-    right: PicVector
+    _fields = ("consistent", "left", "right")
+
+    def __init__(self, consistent: bool, left: PicVector, right: PicVector):
+        self.__dict__.update(consistent=consistent, left=left, right=right)
 
     def __bool__(self) -> bool:
         return self.consistent

@@ -9,21 +9,19 @@ walk.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .points import RepresentationPoint, evaluate_path
-from .quiver import Arrow, Path, Quiver, QuiverError, enumerate_paths
+from .quiver import Arrow, Path, Quiver, QuiverError, Record, enumerate_paths
 
 
-@dataclass(frozen=True)
-class CycleMonomial:
+class CycleMonomial(Record):
     """A closed walk, stored as its lexicographically least rotation."""
 
-    arrows: tuple[Arrow, ...]
+    _fields = ("arrows",)
 
-    def __post_init__(self):
-        arrows = tuple(self.arrows)
+    def __init__(self, arrows: tuple[Arrow, ...]):
+        arrows = tuple(arrows)
         if not arrows:
             raise QuiverError("cycle must be nonempty")
         for a, b in zip(arrows, arrows[1:]):
@@ -31,7 +29,7 @@ class CycleMonomial:
                 raise QuiverError("cycle arrows do not compose")
         if arrows[-1].target != arrows[0].source:
             raise QuiverError("walk does not close up")
-        object.__setattr__(self, "arrows", arrows)
+        self.__dict__.update(arrows=arrows)
 
     @property
     def base(self) -> int:
@@ -108,12 +106,13 @@ def _tautological_values(functions, names, cox, fiber) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    cycles: int
-    pairs: int
-    separated: int
-    collisions: tuple[dict, ...]
+class SeparationReport(Record):
+    _fields = ("cycles", "pairs", "separated", "collisions")
+
+    def __init__(self, cycles: int, pairs: int, separated: int, collisions: tuple[dict, ...]):
+        self.__dict__.update(
+            cycles=cycles, pairs=pairs, separated=separated, collisions=collisions
+        )
 
     @property
     def fraction(self) -> Fraction:

@@ -8,12 +8,11 @@ are `fractions.Fraction` throughout and floats are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .quiver import Path, Quiver, as_fraction
+from .quiver import Path, Quiver, Record, as_fraction
 
 
 class PointError(ValueError):
@@ -27,18 +26,15 @@ def _as_fraction(x) -> Fraction:
         raise PointError(f"bad value: {exc}") from None
 
 
-@dataclass(frozen=True)
-class RepresentationPoint:
+class RepresentationPoint(Record):
     """An assignment of an exact rational scalar to every arrow id; values
-    follow ``as_fraction``."""
+    follow ``as_fraction``.  ``_by_id`` indexes them by arrow id."""
 
-    values: tuple[tuple[str, Fraction], ...]
-    _by_id: dict[str, Fraction] = field(init=False, repr=False, compare=False)
+    _fields = ("values",)
 
-    def __post_init__(self):
-        values = tuple((k, _as_fraction(v)) for k, v in self.values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_by_id", dict(values))
+    def __init__(self, values: tuple[tuple[str, Fraction], ...]):
+        values = tuple((k, _as_fraction(v)) for k, v in values)
+        self.__dict__.update(values=values, _by_id=dict(values))
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, object]) -> "RepresentationPoint":
@@ -69,20 +65,20 @@ class RepresentationPoint:
             raise PointError(f"no value for arrow {arrow_id!r}") from None
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(Record):
     """An n-tuple of nonzero rationals, considered modulo global scaling."""
 
-    t: tuple[Fraction, ...]
+    _fields = ("t",)
+
+    def __init__(self, t: tuple[Fraction, ...]):
+        t = tuple(_as_fraction(s) for s in t)
+        self.__dict__.update(t=t)
+        if any(s == 0 for s in t):
+            raise PointError("torus element entries must be nonzero")
 
     @classmethod
     def of(cls, *scalars) -> "TorusElement":
         return cls(scalars)
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(_as_fraction(s) for s in self.t))
-        if any(s == 0 for s in self.t):
-            raise PointError("torus element entries must be nonzero")
 
 
 def evaluate_path(p: RepresentationPoint, path: Path) -> Fraction:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -91,28 +90,67 @@ def as_fraction(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arrow:
-    """An arrow; ``source``, ``target`` and ``weight`` follow ``as_int``."""
+class Record:
+    """Base of the package's immutable value types.
 
-    id: str
-    source: int
-    target: int
-    weight: int = 0
-    label: str | None = None
-    _exponents: dict[str, int] | None = field(init=False, repr=False, compare=False)
+    ``_fields`` names a type's fields in constructor order.  Equality, the
+    hash and the repr read those fields, and ``replace`` passes them back to
+    the constructor.  Constructors fill ``self.__dict__`` directly, since
+    setting or deleting an attribute raises.  Any other attribute is an
+    index built at construction, left out of equality, the hash and the
+    repr.  Instances have a plain ``__dict__``, which pickle restores
+    without calling ``__setattr__``.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise TypeError(f"arrow id {self.id!r} is not a string")
-        as_int(self.source)
-        as_int(self.target)
-        if as_int(self.weight) < 0:
-            raise QuiverError(f"arrow {self.id}: negative weight {self.weight}")
-        if not isinstance(self.label, (str, type(None))):
-            raise TypeError(f"arrow {self.id}: label {self.label!r} is not a string")
-        exps = parse_monomial(self.label) if self.label is not None else None
-        object.__setattr__(self, "_exponents", exps)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with some fields changed; the constructor checks it again."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+
+class Arrow(Record):
+    """An arrow; ``source``, ``target`` and ``weight`` follow ``as_int``.
+    The label is parsed once, into ``_exponents``."""
+
+    _fields = ("id", "source", "target", "weight", "label")
+
+    def __init__(
+        self, id: str, source: int, target: int, weight: int = 0, label: str | None = None
+    ):
+        if not isinstance(id, str):
+            raise TypeError(f"arrow id {id!r} is not a string")
+        as_int(source)
+        as_int(target)
+        if as_int(weight) < 0:
+            raise QuiverError(f"arrow {id}: negative weight {weight}")
+        if not isinstance(label, (str, type(None))):
+            raise TypeError(f"arrow {id}: label {label!r} is not a string")
+        exps = parse_monomial(label) if label is not None else None
+        self.__dict__.update(
+            id=id, source=source, target=target, weight=weight, label=label, _exponents=exps
+        )
 
     def label_exponents(self) -> Mapping[str, int]:
         """The parsed label, read-only."""
@@ -121,27 +159,26 @@ class Arrow:
         return MappingProxyType(self._exponents)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A path in a quiver: a base node plus a (possibly empty) arrow list.
 
     Arrows are listed in travel order, so consecutive arrows satisfy
     ``arrows[k].target == arrows[k + 1].source``.
     """
 
-    base: int
-    arrows: tuple[Arrow, ...] = ()
+    _fields = ("base", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        if self.arrows:
-            if self.arrows[0].source != self.base:
+    def __init__(self, base: int, arrows: tuple[Arrow, ...] = ()):
+        arrows = tuple(arrows)
+        if arrows:
+            if arrows[0].source != base:
                 raise QuiverError("path base does not match first arrow source")
-            for a, b in zip(self.arrows, self.arrows[1:]):
+            for a, b in zip(arrows, arrows[1:]):
                 if a.target != b.source:
                     raise QuiverError(
                         f"arrows {a.id} and {b.id} do not compose head-to-tail"
                     )
+        self.__dict__.update(base=base, arrows=arrows)
 
     @property
     def source(self) -> int:
@@ -170,8 +207,7 @@ class Path:
         return exps
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A rational linear combination of paths sharing source and target;
     coefficients follow ``as_fraction``.
 
@@ -179,11 +215,11 @@ class Relation:
     least one coefficient to be nonzero.
     """
 
-    terms: tuple[tuple[Fraction, Path], ...]
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((as_fraction(c), p) for c, p in self.terms)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, terms: tuple[tuple[Fraction, Path], ...]):
+        terms = tuple((as_fraction(c), p) for c, p in terms)
+        self.__dict__.update(terms=terms)
         if not terms:
             raise QuiverError("relation has no terms")
         if all(c == 0 for c, _ in terms):
@@ -205,8 +241,7 @@ class Relation:
         return self.terms[0][1].target
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """A quiver with relations, plus the bookkeeping data the stability and
     helix operations rely on.
 
@@ -223,26 +258,29 @@ class Quiver:
     be booleans.
     """
 
-    n: int
-    arrows: tuple[Arrow, ...]
-    relations: tuple[Relation, ...] = ()
-    gg: tuple[tuple[bool, ...], ...] | None = None
-    pic: tuple[tuple[int, ...], ...] | None = None
-    canonical: tuple[int, ...] | None = None
-    _by_id: dict[str, Arrow] = field(init=False, repr=False, compare=False)
-    _out: dict[int, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
-    _reach: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "arrows", "relations", "gg", "pic", "canonical")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        as_int(self.n)
-        if self.gg is not None:
-            object.__setattr__(self, "gg", tuple(tuple(map(_as_bool, row)) for row in self.gg))
-        if self.pic is not None:
-            object.__setattr__(self, "pic", tuple(tuple(map(as_int, v)) for v in self.pic))
-        if self.canonical is not None:
-            object.__setattr__(self, "canonical", tuple(map(as_int, self.canonical)))
+    def __init__(
+        self,
+        n: int,
+        arrows: tuple[Arrow, ...],
+        relations: tuple[Relation, ...] = (),
+        gg: tuple[tuple[bool, ...], ...] | None = None,
+        pic: tuple[tuple[int, ...], ...] | None = None,
+        canonical: tuple[int, ...] | None = None,
+    ):
+        arrows = tuple(arrows)
+        relations = tuple(relations)
+        as_int(n)
+        if gg is not None:
+            gg = tuple(tuple(map(_as_bool, row)) for row in gg)
+        if pic is not None:
+            pic = tuple(tuple(map(as_int, v)) for v in pic)
+        if canonical is not None:
+            canonical = tuple(map(as_int, canonical))
+        self.__dict__.update(
+            n=n, arrows=arrows, relations=relations, gg=gg, pic=pic, canonical=canonical
+        )
         self._index()
         self._validate()
 
@@ -269,9 +307,7 @@ class Quiver:
                         seen.add(a.target)
                         frontier.append(a.target)
             reach[v] = frozenset(seen)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_reach", reach)
+        self.__dict__.update(_by_id=by_id, _out=out, _reach=reach)
 
     def _validate(self):
         for rel in self.relations:
@@ -338,10 +374,11 @@ def arrow_degree(q: Quiver, a: Arrow) -> int:
     return a.source - a.target + q.n * a.weight
 
 
-@dataclass(frozen=True)
-class GradingCertificate:
-    passed: bool
-    witness: Arrow | None = None
+class GradingCertificate(Record):
+    _fields = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: Arrow | None = None):
+        self.__dict__.update(passed=passed, witness=witness)
 
     def __bool__(self) -> bool:
         return self.passed

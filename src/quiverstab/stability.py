@@ -11,10 +11,9 @@ supports.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .quiver import Quiver, QuiverError, as_int
+from .quiver import Quiver, QuiverError, Record, as_int
 
 if TYPE_CHECKING:
     from .points import RepresentationPoint
@@ -26,16 +25,15 @@ class EnumerationCapError(ValueError):
     """Subset enumeration was requested for more than ENUMERATION_CAP nodes."""
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """An integer weight vector chi with sum(chi) = 0; entries follow
     ``as_int``.  Every node dimension is 1, so the sum is unweighted."""
 
-    chi: tuple[int, ...]
+    _fields = ("chi",)
 
-    def __post_init__(self):
-        chi = tuple(map(as_int, self.chi))
-        object.__setattr__(self, "chi", chi)
+    def __init__(self, chi: tuple[int, ...]):
+        chi = tuple(map(as_int, chi))
+        self.__dict__.update(chi=chi)
         if sum(chi) != 0:
             raise ValueError(f"character {chi} does not satisfy sum(chi) = 0")
 
@@ -48,16 +46,15 @@ class Character:
         return sum(self.chi[i - 1] for i in subset)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Record):
     """Non-negative integers m[i][j] with zero diagonal, generating a
     character; entries follow ``as_int``."""
 
-    m: tuple[tuple[int, ...], ...]
+    _fields = ("m",)
 
-    def __post_init__(self):
-        m = tuple(tuple(map(as_int, row)) for row in self.m)
-        object.__setattr__(self, "m", m)
+    def __init__(self, m: tuple[tuple[int, ...], ...]):
+        m = tuple(tuple(map(as_int, row)) for row in m)
+        self.__dict__.update(m=m)
         n = len(m)
         if any(len(row) != n for row in m):
             raise ValueError("weight matrix must be square")
@@ -74,9 +71,12 @@ class WeightMatrix:
 
     @classmethod
     def from_entries(cls, n: int, entries: dict[tuple[int, int], int]) -> "WeightMatrix":
-        """Build from 1-indexed {(i, j): m_ij} entries."""
+        """Build from 1-indexed {(i, j): m_ij} entries; indices follow
+        ``as_int``, and one outside ``1..n`` raises ValueError."""
         rows = [[0] * n for _ in range(n)]
         for (i, j), v in entries.items():
+            if not (1 <= as_int(i) <= n and 1 <= as_int(j) <= n):
+                raise ValueError(f"weight entry ({i}, {j}) is outside 1..{n}")
             rows[i - 1][j - 1] = v
         return cls(tuple(tuple(row) for row in rows))
 
@@ -88,19 +88,16 @@ class WeightMatrix:
         return self.m[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class SupportFamily:
+class SupportFamily(Record):
     """The family of subrepresentation supports of a point."""
 
-    n: int
-    supports: frozenset[frozenset[int]]
+    _fields = ("n", "supports")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "supports", frozenset(frozenset(s) for s in self.supports)
-        )
-        full = frozenset(range(1, self.n + 1))
-        if frozenset() not in self.supports or full not in self.supports:
+    def __init__(self, n: int, supports: frozenset[frozenset[int]]):
+        supports = frozenset(frozenset(s) for s in supports)
+        self.__dict__.update(n=n, supports=supports)
+        full = frozenset(range(1, n + 1))
+        if frozenset() not in supports or full not in supports:
             raise ValueError("support family must contain the empty and full sets")
 
     @property
@@ -195,12 +192,22 @@ def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    semistable: bool
-    stable: bool
-    violating_support: tuple[int, ...] | None
-    supports_count: int
+class StabilityReport(Record):
+    _fields = ("semistable", "stable", "violating_support", "supports_count")
+
+    def __init__(
+        self,
+        semistable: bool,
+        stable: bool,
+        violating_support: tuple[int, ...] | None,
+        supports_count: int,
+    ):
+        self.__dict__.update(
+            semistable=semistable,
+            stable=stable,
+            violating_support=violating_support,
+            supports_count=supports_count,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -244,8 +251,7 @@ def character_from_weights(m: WeightMatrix) -> Character:
     return Character(chi)
 
 
-@dataclass(frozen=True)
-class GoodCertificate:
+class GoodCertificate(Record):
     """Outcome of the global-generation certificate for a weight matrix.
 
     ``certified`` means every positive weight sits on a globally generated
@@ -254,8 +260,10 @@ class GoodCertificate:
     that the character fails to be good.
     """
 
-    certified: bool
-    witness: tuple[int, int] | None = None
+    _fields = ("certified", "witness")
+
+    def __init__(self, certified: bool, witness: tuple[int, int] | None = None):
+        self.__dict__.update(certified=certified, witness=witness)
 
     def __bool__(self) -> bool:
         return self.certified
@@ -273,11 +281,16 @@ def certify_good(q: Quiver, m: WeightMatrix) -> GoodCertificate:
     return GoodCertificate(True)
 
 
-@dataclass(frozen=True)
-class GreatCertificate:
-    certified: bool
-    good: GoodCertificate
-    unreachable_pair: tuple[int, int] | None = None
+class GreatCertificate(Record):
+    _fields = ("certified", "good", "unreachable_pair")
+
+    def __init__(
+        self,
+        certified: bool,
+        good: GoodCertificate,
+        unreachable_pair: tuple[int, int] | None = None,
+    ):
+        self.__dict__.update(certified=certified, good=good, unreachable_pair=unreachable_pair)
 
     def __bool__(self) -> bool:
         return self.certified
@@ -329,14 +342,16 @@ def certify_great(q: Quiver, m: WeightMatrix) -> GreatCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityCone:
+class StabilityCone(Record):
     """King's inequalities in polyhedral form: vectors v with v . chi <= 0,
     together with the equality sum(chi) = 0."""
 
-    n: int
-    inequalities: tuple[tuple[int, ...], ...]
-    equality: tuple[int, ...]
+    _fields = ("n", "inequalities", "equality")
+
+    def __init__(
+        self, n: int, inequalities: tuple[tuple[int, ...], ...], equality: tuple[int, ...]
+    ):
+        self.__dict__.update(n=n, inequalities=inequalities, equality=equality)
 
     def to_dict(self) -> dict:
         return {

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -134,7 +133,7 @@ def _dropping_one_arrow(spec):
     for at, (s, t, labels) in enumerate(spec.levels):
         for k in range(len(labels)):
             level = (s, t, labels[:k] + labels[k + 1 :])
-            yield replace(spec, levels=spec.levels[:at] + (level,) + spec.levels[at + 1 :])
+            yield spec.replace(levels=spec.levels[:at] + (level,) + spec.levels[at + 1 :])
 
 
 def _verdict(check, *args):
@@ -167,7 +166,7 @@ class TestHomDimensions:
         levels = spec.levels[:-1] + ((4, 3, ("t4", "t1*t2")),)
         message = "f1: paths 4->1 span 5 monomials, Hom dimension is 6"
         with pytest.raises(QuiverError, match=message):
-            _build("f1", replace(spec, levels=levels))
+            _build("f1", spec.replace(levels=levels))
 
 
 class TestMonomialsOfDegree:

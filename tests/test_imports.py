@@ -1,7 +1,8 @@
 """What a process loads: ``import quiverstab`` loads none of the package's
 modules, a command-line process loads only the modules its command runs,
-and nothing outside the standard library.  Each check runs in a fresh
-interpreter, since this test process has long since imported everything."""
+nothing outside the standard library, and neither ``dataclasses`` nor the
+``inspect`` it imports.  Each check runs in a fresh interpreter, since this
+test process has long since imported everything."""
 
 import functools
 import importlib
@@ -20,6 +21,7 @@ import quiverstab
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 GOLDEN = ROOT / "tests" / "golden" / "readme_commands.json"
+README_COMMANDS = sorted(json.loads(GOLDEN.read_text()))
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -109,17 +111,41 @@ def _outside_stdlib(names) -> set[str]:
     }
 
 
-def test_cli_import_loads_only_the_standard_library():
+@functools.cache
+def _cli_import_modules() -> tuple[str, ...]:
     proc = _python("-c", "import sys, quiverstab.cli; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert _outside_stdlib(proc.stdout.split()) == set()
+    return tuple(proc.stdout.split())
 
 
-@pytest.mark.parametrize("command", sorted(json.loads(GOLDEN.read_text())))
-def test_readme_command_loads_only_the_standard_library(command):
+@functools.cache
+def _readme_command_modules(command: str) -> tuple[str, ...]:
     proc = _python("-c", _RUN_CLI, *shlex.split(command))
     assert proc.returncode == 0, proc.stderr
-    assert _outside_stdlib(proc.stderr.splitlines()[-1].split()) == set()
+    return tuple(proc.stderr.splitlines()[-1].split())
+
+
+def test_cli_import_loads_only_the_standard_library():
+    assert _outside_stdlib(_cli_import_modules()) == set()
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_loads_only_the_standard_library(command):
+    assert _outside_stdlib(_readme_command_modules(command)) == set()
+
+
+# The core types are plain classes: generating them with dataclasses costs
+# every process its import, and inspect's, before any command runs.
+_SLOW_TO_IMPORT = {"dataclasses", "inspect"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _SLOW_TO_IMPORT & set(_cli_import_modules()) == set()
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_loads_neither_dataclasses_nor_inspect(command):
+    assert _SLOW_TO_IMPORT & set(_readme_command_modules(command)) == set()
 
 
 def test_no_runtime_dependency():

@@ -72,6 +72,17 @@ class TestWeightMatrix:
         with pytest.raises(ValueError):
             WeightMatrix(m)
 
+    @pytest.mark.parametrize("entry", [(0, 1), (4, 1), (1, 0), (1, 4), (-1, 2)])
+    def test_from_entries_rejects_an_index_outside_1_to_n(self, entry):
+        # (0, 1) would index rows[-1], the last row, and (4, 1) past the end
+        with pytest.raises(ValueError, match=rf"weight entry \({entry[0]}, {entry[1]}\)"):
+            WeightMatrix.from_entries(3, {entry: 2})
+
+    @pytest.mark.parametrize("entry", [(True, 2), (1.5, 1), (1, "2")])
+    def test_from_entries_indices_are_integers(self, entry):
+        with pytest.raises(ValueError):
+            WeightMatrix.from_entries(3, {entry: 2})
+
 
 class TestSubrepSupports:
     def test_generic_p2_point(self):
