@@ -19,7 +19,6 @@ _EXPORTS = {
         "Relation",
         "arrow_degree",
         "derive_binomial_relations",
-        "enumerate_paths",
         "fiber_relations",
         "grading_certificate",
         "path_fibers",

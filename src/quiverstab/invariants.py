@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .points import RepresentationPoint, evaluate_path
-from .quiver import Arrow, Path, Quiver, QuiverError, Record, enumerate_paths
+from .quiver import Arrow, Path, Quiver, QuiverError, Record
 
 
 class CycleMonomial(Record):
@@ -54,17 +54,26 @@ def enumerate_cycles(q: Quiver, max_len: int) -> list[CycleMonomial]:
     """All closed walks of length <= max_len, one per rotation class.
 
     Representatives are the lexicographically least rotations (by arrow id),
-    returned sorted by length and then by id sequence.
+    returned sorted by length and then by id sequence.  A least rotation
+    starts at its least arrow, so walks start from each arrow and continue
+    only through arrows with no smaller id; a closed walk is kept when it is
+    its own least rotation.
     """
     if max_len < 1:
         raise QuiverError("max_len must be at least 1")
-    cycles: dict[tuple[str, ...], CycleMonomial] = {}
-    for start in q.sources():
-        for p in enumerate_paths(q, start, start, max_len):
-            if p.arrows:
-                cycle = CycleMonomial(p.arrows).canonical()
-                cycles.setdefault(cycle.arrow_ids(), cycle)
-    return sorted(cycles.values(), key=lambda c: (len(c), c.arrow_ids()))
+    cycles: list[CycleMonomial] = []
+    # a stack, not recursion, so a long max_len cannot exhaust the interpreter's stack
+    walks = [(a,) for a in q.arrows]
+    while walks:
+        arrows = walks.pop()
+        first, last = arrows[0], arrows[-1]
+        if last.target == first.source:
+            cycle = CycleMonomial(arrows)
+            if cycle.canonical() == cycle:
+                cycles.append(cycle)
+        if len(arrows) < max_len:
+            walks.extend(arrows + (a,) for a in q.outgoing(last.target) if a.id >= first.id)
+    return sorted(cycles, key=lambda c: (len(c), c.arrow_ids()))
 
 
 def evaluate_invariant(c: CycleMonomial, p: RepresentationPoint) -> Fraction:

@@ -17,7 +17,7 @@ import json
 import re
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 
 class QuiverError(ValueError):
@@ -241,6 +241,23 @@ class Relation(Record):
         return self.terms[0][1].target
 
 
+_N = TypeVar("_N", bound=Hashable)
+
+
+def _reachable(successors: Callable[[_N], Iterable[_N]], start: _N) -> frozenset[_N]:
+    """The nodes reachable from ``start`` along at least one edge, where
+    ``successors(v)`` lists the heads of the edges out of ``v``; ``start``
+    is among them only on a cycle."""
+    seen: set[_N] = set()
+    frontier = [start]
+    while frontier:
+        for w in successors(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
 class Quiver(Record):
     """A quiver with relations, plus the bookkeeping data the stability and
     helix operations rely on.
@@ -297,16 +314,7 @@ class Quiver(Record):
             by_id[a.id] = a
             out.setdefault(a.source, []).append(a)
         out = {v: tuple(out[v]) for v in sorted(out)}
-        reach: dict[int, frozenset[int]] = {}
-        for v in out:
-            seen: set[int] = set()
-            frontier = [v]
-            while frontier:
-                for a in out.get(frontier.pop(), ()):
-                    if a.target not in seen:
-                        seen.add(a.target)
-                        frontier.append(a.target)
-            reach[v] = frozenset(seen)
+        reach = {v: _reachable(lambda u: [a.target for a in out.get(u, ())], v) for v in out}
         self.__dict__.update(_by_id=by_id, _out=out, _reach=reach)
 
     def _validate(self):
@@ -395,31 +403,6 @@ def grading_certificate(q: Quiver) -> GradingCertificate:
         if arrow_degree(q, a) <= 0:
             return GradingCertificate(False, a)
     return GradingCertificate(True)
-
-
-def enumerate_paths(q: Quiver, src: int, dst: int, max_len: int) -> list[Path]:
-    """All paths from src to dst of length <= max_len.
-
-    Output is ordered lexicographically by arrow-id sequence, with shorter
-    prefixes first.
-    """
-    for node in (src, dst):
-        if not (1 <= node <= q.n):
-            raise QuiverError(f"node {node} out of range 1..{q.n}")
-    if max_len < 0:
-        raise QuiverError("max_len must be non-negative")
-    out: list[Path] = []
-
-    def walk(at: int, arrows: tuple[Arrow, ...]):
-        if at == dst:
-            out.append(Path(src, arrows))
-        if len(arrows) == max_len:
-            return
-        for a in q.outgoing(at):
-            walk(a.target, arrows + (a,))
-
-    walk(src, ())
-    return out
 
 
 def path_fibers(q: Quiver, max_degree: int | None = None) -> dict[tuple, list[Path]]:

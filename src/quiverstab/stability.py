@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Iterable
 
-from .quiver import Quiver, QuiverError, Record, as_int
+from .quiver import Quiver, QuiverError, Record, _reachable, as_int
 
 if TYPE_CHECKING:
     from .points import RepresentationPoint
@@ -26,14 +26,17 @@ class EnumerationCapError(ValueError):
 
 
 class Character(Record):
-    """An integer weight vector chi with sum(chi) = 0; entries follow
-    ``as_int``.  Every node dimension is 1, so the sum is unweighted."""
+    """An integer weight vector chi on n >= 1 nodes with sum(chi) = 0;
+    entries follow ``as_int``.  Every node dimension is 1, so the sum is
+    unweighted."""
 
     _fields = ("chi",)
 
     def __init__(self, chi: tuple[int, ...]):
         chi = tuple(map(as_int, chi))
         self.__dict__.update(chi=chi)
+        if not chi:
+            raise ValueError("character needs at least one node")
         if sum(chi) != 0:
             raise ValueError(f"character {chi} does not satisfy sum(chi) = 0")
 
@@ -47,8 +50,8 @@ class Character(Record):
 
 
 class WeightMatrix(Record):
-    """Non-negative integers m[i][j] with zero diagonal, generating a
-    character; entries follow ``as_int``."""
+    """An n x n matrix, n >= 1, of non-negative integers m[i][j] with zero
+    diagonal, generating a character; entries follow ``as_int``."""
 
     _fields = ("m",)
 
@@ -56,6 +59,8 @@ class WeightMatrix(Record):
         m = tuple(tuple(map(as_int, row)) for row in m)
         self.__dict__.update(m=m)
         n = len(m)
+        if n == 0:
+            raise ValueError("weight matrix needs at least one node")
         if any(len(row) != n for row in m):
             raise ValueError("weight matrix must be square")
         for i in range(n):
@@ -165,26 +170,9 @@ def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily
     targets: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
     for a in _nonzero_arrows(q, p):
         targets[a.source].append(a.target)
-    gens = []
-    for v in targets:
-        closure = {v}
-        frontier = [v]
-        while frontier:
-            for w in targets[frontier.pop()]:
-                if w not in closure:
-                    closure.add(w)
-                    frontier.append(w)
-        gens.append(frozenset(closure))
-    family = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        s = frontier.pop()
-        for g in gens:
-            t = s | g
-            if t not in family:
-                family.add(t)
-                frontier.append(t)
-    return SupportFamily(q.n, frozenset(family))
+    gens = [_reachable(targets.__getitem__, v) | {v} for v in targets]
+    family = _reachable(lambda s: [s | g for g in gens], frozenset())
+    return SupportFamily(q.n, family | {frozenset()})
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +291,8 @@ def certify_great(q: Quiver, m: WeightMatrix) -> GreatCertificate:
     Moves run forward along j -> i whenever Hom(E_i, E_j) is nonzero and
     generated by global sections, and backward along i -> j whenever
     m[i][j] > 0.  Certification requires every ordered node pair to be
-    connected by such moves.
+    connected by such moves.  A ``gg`` entry implies a nonzero Hom: the
+    ``Quiver`` constructor rejects one with no path.
     """
     good = certify_good(q, m)
     if not good:
@@ -313,24 +302,12 @@ def certify_great(q: Quiver, m: WeightMatrix) -> GreatCertificate:
         for j in range(1, q.n + 1):
             if i == j:
                 continue
-            if q.globally_generated(i, j) and q.has_path(j, i):
+            if q.globally_generated(i, j):
                 edges[j].add(i)
             if m.entry(i, j) > 0:
                 edges[i].add(j)
-
-    def reachable(start: int) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in edges[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
     for u in range(1, q.n + 1):
-        seen = reachable(u)
+        seen = _reachable(edges.__getitem__, u) | {u}
         for v in range(1, q.n + 1):
             if v not in seen:
                 return GreatCertificate(False, good, (u, v))

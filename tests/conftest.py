@@ -1,4 +1,5 @@
-"""In-process runs of the command line, for the CLI and golden tests."""
+"""In-process runs of the command line, for the CLI and golden tests, and
+the all-paths walk the oracles of the quiver and catalog tests are built on."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -6,6 +7,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
+
+from quiverstab.quiver import Arrow, Path, Quiver, QuiverError
 
 
 @dataclass
@@ -49,3 +52,28 @@ def invoke(main, args) -> Result:
 @pytest.fixture
 def runner():
     return SimpleNamespace(invoke=invoke)
+
+
+def enumerate_paths(q: Quiver, src: int, dst: int, max_len: int) -> list[Path]:
+    """All paths from src to dst of length <= max_len.
+
+    Output is ordered lexicographically by arrow-id sequence, with shorter
+    prefixes first.
+    """
+    for node in (src, dst):
+        if not (1 <= node <= q.n):
+            raise QuiverError(f"node {node} out of range 1..{q.n}")
+    if max_len < 0:
+        raise QuiverError("max_len must be non-negative")
+    out: list[Path] = []
+
+    def walk(at: int, arrows: tuple[Arrow, ...]):
+        if at == dst:
+            out.append(Path(src, arrows))
+        if len(arrows) == max_len:
+            return
+        for a in q.outgoing(at):
+            walk(a.target, arrows + (a,))
+
+    walk(src, ())
+    return out

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import enumerate_paths
 
 from quiverstab.catalog import (
     _SPECS,
@@ -24,7 +25,6 @@ from quiverstab.catalog import (
 from quiverstab.points import satisfies_relations, vanishing_pattern
 from quiverstab.quiver import (
     QuiverError,
-    enumerate_paths,
     grading_certificate,
     monomial_key,
     path_fibers,

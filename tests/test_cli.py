@@ -362,6 +362,15 @@ class TestCharacterCommand:
         assert "bad weight file" in result.output
         assert result.output.splitlines()[-1].startswith("Error: bad weight file")
 
+    def test_empty_m_file_exits_2(self, runner, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"m": []}')
+        result = runner.invoke(main, ["character", "--m-file", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "chi =" not in result.output
+        assert result.output.splitlines()[-1].startswith("Error: ")
+
     def test_m_file_infers_size(self, runner, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"m": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}))

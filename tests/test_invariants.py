@@ -1,7 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from conftest import enumerate_paths
 
 from quiverstab.catalog import (
     canonical_geometric_form,
@@ -26,6 +28,32 @@ HELIX = get_entry("p2-helix")
 def rotations(c: CycleMonomial) -> list[CycleMonomial]:
     k = len(c.arrows)
     return [CycleMonomial(c.arrows[i:] + c.arrows[:i]) for i in range(k)]
+
+
+def cycles_by_rotation_dedup(q: Quiver, max_len: int) -> list[CycleMonomial]:
+    """Oracle: every closed path from every node, each reduced to its least
+    rotation by arrow ids, with the repeats of a rotation class dropped."""
+    cycles = {}
+    for start in range(1, q.n + 1):
+        for p in enumerate_paths(q, start, start, max_len):
+            ids = p.arrow_ids()
+            if ids:
+                k = min(range(len(ids)), key=lambda i: ids[i:] + ids[:i])
+                cycles.setdefault(ids[k:] + ids[:k], p.arrows[k:] + p.arrows[:k])
+    return [CycleMonomial(cycles[ids]) for ids in sorted(cycles, key=lambda ids: (len(ids), ids))]
+
+
+def random_looped_quiver(rng: random.Random) -> Quiver:
+    """At most 4 nodes and 6 arrows, among them a loop and two parallel
+    arrows; ids are drawn so that their string order (a10 < a2) differs
+    from the order the arrows are made in."""
+    n = rng.randint(1, 4)
+    loop = rng.randint(1, n)
+    source, target = rng.randint(1, n), rng.randint(1, n)
+    ends = [(loop, loop), (source, target), (source, target)]
+    ends += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+    ids = rng.sample([f"a{k}" for k in range(12)], len(ends))
+    return Quiver(n=n, arrows=tuple(Arrow(i, s, t) for i, (s, t) in zip(ids, ends)))
 
 
 def path_product_separation(entry, samples: int, max_len: int, seed: int) -> SeparationReport:
@@ -81,6 +109,32 @@ class TestEnumerateCycles:
     def test_min_length_one(self):
         with pytest.raises(QuiverError):
             enumerate_cycles(HELIX.quiver, 0)
+
+    @pytest.mark.parametrize("name", ["p2-helix", "p1xp1-spiral"])
+    def test_catalog_against_rotation_dedup(self, name):
+        q = get_entry(name).quiver
+        for max_len in range(1, 2 * q.n + 1):
+            assert enumerate_cycles(q, max_len) == cycles_by_rotation_dedup(q, max_len)
+
+    def test_loops_and_parallel_arrows_against_rotation_dedup(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            q = random_looped_quiver(rng)
+            expected = cycles_by_rotation_dedup(q, 5)
+            for max_len in range(1, 6):
+                cycles = enumerate_cycles(q, max_len)
+                assert cycles == [c for c in expected if len(c) <= max_len]
+                assert any(len(c) == 1 for c in cycles)  # the loop
+
+    def test_walk_length_is_not_bound_by_the_recursion_limit(self):
+        q = Quiver(n=1, arrows=(Arrow("a", 1, 1),))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            cycles = enumerate_cycles(q, 500)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [len(c) for c in cycles] == list(range(1, 501))
 
     def test_deterministic_order(self):
         a = [c.arrow_ids() for c in enumerate_cycles(HELIX.quiver, 6)]

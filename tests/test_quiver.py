@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import enumerate_paths
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
 from quiverstab.invariants import enumerate_cycles
@@ -14,7 +15,6 @@ from quiverstab.quiver import (
     Relation,
     arrow_degree,
     derive_binomial_relations,
-    enumerate_paths,
     grading_certificate,
     monomial_key,
     parse_monomial,

@@ -57,6 +57,11 @@ class TestCharacter:
         with pytest.raises(ValueError):
             Character(chi)
 
+    def test_zero_nodes_rejected(self):
+        # every quiver has n >= 1, so an empty character matches none
+        with pytest.raises(ValueError, match="at least one node"):
+            Character(())
+
 
 class TestWeightMatrix:
     def test_negative_rejected(self):
@@ -82,6 +87,19 @@ class TestWeightMatrix:
     def test_from_entries_indices_are_integers(self, entry):
         with pytest.raises(ValueError):
             WeightMatrix.from_entries(3, {entry: 2})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WeightMatrix(()),
+            lambda: WeightMatrix.zero(0),
+            lambda: WeightMatrix.from_entries(0, {}),
+        ],
+        ids=["constructor", "zero", "from_entries"],
+    )
+    def test_zero_nodes_rejected(self, build):
+        with pytest.raises(ValueError, match="at least one node"):
+            build()
 
 
 class TestSubrepSupports:
@@ -313,6 +331,56 @@ class TestCertificates:
                     assert report.semistable
                     if great.certified:
                         assert report.stable
+
+
+def great_by_closure(q, m):
+    """Oracle: (certified, good witness, unreachable pair) from a Warshall
+    transitive closure of the mixed move graph, whose forward moves keep the
+    explicit check that Hom(E_i, E_j) has a path."""
+    n = q.n
+    nodes = range(1, n + 1)
+    bad = [(i, j) for i in nodes for j in nodes if m.entry(i, j) > 0 and not q.gg[i - 1][j - 1]]
+    if bad:
+        return False, bad[0], None
+    reach = {(u, v): u == v for u in nodes for v in nodes}
+    for i in nodes:
+        for j in nodes:
+            if i != j and q.gg[i - 1][j - 1] and q.has_path(j, i):
+                reach[j, i] = True
+            if i != j and m.entry(i, j) > 0:
+                reach[i, j] = True
+    for k in nodes:
+        for u in nodes:
+            for v in nodes:
+                reach[u, v] = reach[u, v] or (reach[u, k] and reach[k, v])
+    unreachable = [(u, v) for u in nodes for v in nodes if not reach[u, v]]
+    return not unreachable, None, unreachable[0] if unreachable else None
+
+
+class TestCertifyGreatOracle:
+    @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1", "pn(3)", "pn(4)"])
+    def test_against_transitive_closure(self, name):
+        q = get_entry(name).quiver
+        assert q.gg is not None
+        rng = random.Random(47)
+        outcomes = set()
+        for _ in range(150):
+            density = rng.choice([0.1, 0.3, 0.6])
+            m = WeightMatrix.from_entries(
+                q.n,
+                {
+                    (i, j): 1
+                    for i in range(1, q.n + 1)
+                    for j in range(1, q.n + 1)
+                    if i != j and rng.random() < density
+                },
+            )
+            cert = certify_great(q, m)
+            got = (cert.certified, cert.good.witness, cert.unreachable_pair)
+            assert got == great_by_closure(q, m)
+            outcomes.add((cert.certified, cert.good.certified))
+        # certified, good but not great, and not good all occur
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 class TestStabilityCone:
