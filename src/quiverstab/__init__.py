@@ -19,9 +19,7 @@ _EXPORTS = {
         "Relation",
         "arrow_degree",
         "derive_binomial_relations",
-        "fiber_relations",
         "grading_certificate",
-        "path_fibers",
         "quiver_from_json",
         "quiver_to_json",
     ),

@@ -23,9 +23,9 @@ from .quiver import (
     Quiver,
     QuiverError,
     Record,
+    _fiber_ends,
+    _fiber_relations,
     as_fraction,
-    fiber_relations,
-    path_fibers,
 )
 
 
@@ -283,9 +283,9 @@ def _check_label_degrees(name: str, q: Quiver, variables) -> None:
 def _check_hom_dimensions(name: str, q: Quiver, fibers, variables) -> None:
     """Distinct path products between nodes must exhaust the Hom space.
 
-    On a weight-zero quiver each of its ``path_fibers`` from j to i is one
-    monomial of degree pic(E_j) - pic(E_i), and the count of all such
-    monomials is the dimension of Hom(E_i, E_j)."""
+    On a weight-zero quiver each fiber key from j to i is one monomial of
+    degree pic(E_j) - pic(E_i), and the count of all such monomials is the
+    dimension of Hom(E_i, E_j)."""
     spans = Counter((j, i) for j, i, _, _ in fibers)
     degrees = [d for _, d in variables]
     for (j, i), count in sorted(spans.items()):
@@ -299,12 +299,13 @@ def _check_hom_dimensions(name: str, q: Quiver, fibers, variables) -> None:
 
 def _build(name: str, spec: _Spec) -> CatalogEntry:
     """The entry of a spec: its weight-zero quiver with derived relations,
-    or that quiver spiral-extended, every label checked.  One walk of the
-    weight-zero quiver feeds both its relations and the Hom check."""
+    or that quiver spiral-extended, every label checked.  One pass over the
+    fiber keys of the weight-zero quiver feeds both its relations and the
+    Hom check."""
     base = _weight_zero_quiver(spec)
-    fibers = path_fibers(base)
+    fibers = _fiber_ends(base)
     if spec.spiral is None:
-        q = base.replace(relations=tuple(fiber_relations(fibers)))
+        q = base.replace(relations=tuple(_fiber_relations(base, fibers)))
     else:
         from .helix import extend_spiral
 

@@ -103,23 +103,18 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
         if n is not None and m.n != n:
             raise UsageError(f"weight matrix size {m.n} != {n} nodes")
         return m
-    parsed = []
+    entries: dict[tuple[int, int], int] = {}
     for spec in m_entries:
         try:
             value, pair = spec.split("@")
             i, j = (int(x) for x in pair.split(","))
-            parsed.append((spec, i, j, int(value)))
+            entries[(i, j)] = entries.get((i, j), 0) + int(value)
         except ValueError:
             raise UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
     if n is None:
-        if not parsed:
+        if not entries:
             raise UsageError("give --n when no weight entries are supplied")
-        n = max(max(i, j) for _, i, j, _ in parsed)
-    entries: dict[tuple[int, int], int] = {}
-    for spec, i, j, value in parsed:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise UsageError(f"weight entry {spec!r} out of range 1..{n}")
-        entries[(i, j)] = entries.get((i, j), 0) + value
+        n = max(max(pair) for pair in entries)
     try:
         return st.WeightMatrix.from_entries(n, entries)
     except ValueError as exc:

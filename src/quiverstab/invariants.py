@@ -54,25 +54,30 @@ def enumerate_cycles(q: Quiver, max_len: int) -> list[CycleMonomial]:
     """All closed walks of length <= max_len, one per rotation class.
 
     Representatives are the lexicographically least rotations (by arrow id),
-    returned sorted by length and then by id sequence.  A least rotation
-    starts at its least arrow, so walks start from each arrow and continue
-    only through arrows with no smaller id; a closed walk is kept when it is
-    its own least rotation.
+    returned sorted by length and then by id sequence.  Each walk carries
+    the period ``p`` of Duval's necklace test.  An arrow with a smaller id
+    than the one ``p`` places back would make a prefix of no least rotation,
+    so it is never added; a larger one makes ``p`` the new length.  A closed
+    walk is its own least rotation iff ``p`` divides its length, a test in
+    constant time.
     """
     if max_len < 1:
         raise QuiverError("max_len must be at least 1")
     cycles: list[CycleMonomial] = []
     # a stack, not recursion, so a long max_len cannot exhaust the interpreter's stack
-    walks = [(a,) for a in q.arrows]
+    walks = [((a,), 1) for a in q.arrows]
     while walks:
-        arrows = walks.pop()
-        first, last = arrows[0], arrows[-1]
-        if last.target == first.source:
-            cycle = CycleMonomial(arrows)
-            if cycle.canonical() == cycle:
-                cycles.append(cycle)
-        if len(arrows) < max_len:
-            walks.extend(arrows + (a,) for a in q.outgoing(last.target) if a.id >= first.id)
+        arrows, period = walks.pop()
+        length = len(arrows)
+        if arrows[-1].target == arrows[0].source and length % period == 0:
+            cycles.append(CycleMonomial(arrows))
+        if length < max_len:
+            back = arrows[length - period].id
+            walks.extend(
+                (arrows + (a,), period if a.id == back else length + 1)
+                for a in q.outgoing(arrows[-1].target)
+                if a.id >= back
+            )
     return sorted(cycles, key=lambda c: (len(c), c.arrow_ids()))
 
 

@@ -349,10 +349,6 @@ class Quiver(Record):
         except KeyError:
             raise QuiverError(f"no arrow with id {arrow_id!r}") from None
 
-    def sources(self) -> tuple[int, ...]:
-        """Nodes with at least one outgoing arrow, ascending."""
-        return tuple(self._out)
-
     def outgoing(self, node: int) -> tuple[Arrow, ...]:
         """Arrows with source ``node``, in id order."""
         return self._out.get(node, ())
@@ -405,112 +401,115 @@ def grading_certificate(q: Quiver) -> GradingCertificate:
     return GradingCertificate(True)
 
 
-def path_fibers(q: Quiver, max_degree: int | None = None) -> dict[tuple, list[Path]]:
-    """Paths of length >= 1, grouped into fibers by source, target, total
-    weight and label product.
+def _fiber_ends(q: Quiver, max_degree: int | None = None) -> dict[tuple, dict]:
+    """The fibers of the paths of length >= 1, without listing their paths.
 
-    Paths in one fiber compose to the same map of sheaves.  Keys are
+    Paths with the same source, target, total weight and label product
+    compose to the same map of sheaves.  Each fiber is keyed by
     ``(source, target, total weight, monomial_key of the label product)``,
-    in ``str`` order; each fiber is sorted by arrow ids.  Walks start only
-    at arrow sources.
+    in ``str`` order, and maps each realized (first arrow id, last arrow id)
+    pair to the least path with those ends, as a tuple of arrow ids.
 
-    ``max_degree`` bounds the walk by total path-algebra degree.  On acyclic
-    quivers the default explores all paths; on cyclic quivers it defaults to
-    ``n``, which covers one trip around the added helix arrows.
+    A key fixes its degree, ``source - target + n * weight``, so one pass
+    takes the keys in increasing degree.  The paths of a fiber ending in
+    ``b`` extend those of the fiber without ``b``, of lower degree, and
+    paths of one degree are never prefixes of each other, so the least path
+    with ends ``(a, b)`` is the least one of that fiber starting with ``a``,
+    then ``b``.  The cost follows the keys, not ``max_degree``, which bounds
+    the paths by total degree: all paths on acyclic quivers by default, and
+    degree ``n`` on cyclic ones, one trip around the added helix arrows.
     """
+    import heapq  # deferred: only relation derivation loads it
+
     for a in q.arrows:
         if a.label is None:
             raise QuiverError(f"arrow {a.id} is missing a label")
     cert = grading_certificate(q)
     if not cert:
-        raise QuiverError(
-            f"path fibers need positive arrow degrees; {cert.witness.id} fails"
-        )
+        raise QuiverError(f"path fibers need positive arrow degrees; {cert.witness.id} fails")
     if max_degree is None:
-        if q.has_cycle():
-            max_degree = q.n
-        else:
-            max_degree = sum(arrow_degree(q, a) for a in q.arrows) or 1
+        max_degree = q.n if q.has_cycle() else sum(arrow_degree(q, a) for a in q.arrows)
 
-    fibers: dict[tuple, list[Path]] = {}
+    fibers: dict[tuple, dict[tuple[str, str], tuple[str, ...]]] = {}
+    pending: list[tuple[int, tuple]] = []
 
-    # positive degrees end every walk, even on cyclic quivers
-    def walk(src: int, at: int, arrows: tuple[Arrow, ...], deg: int, weight: int, exps: dict):
-        for a in q.outgoing(at):
-            d = deg + arrow_degree(q, a)
-            if d > max_degree:
-                continue
-            path = arrows + (a,)
-            product = dict(exps)
-            for var, e in a.label_exponents().items():
+    def add(key: tuple, ends: dict) -> None:
+        degree = key[0] - key[1] + q.n * key[2]
+        if degree > max_degree:
+            return
+        if key not in fibers:
+            fibers[key] = {}
+            heapq.heappush(pending, (degree, key))
+        fibers[key].update(ends)
+
+    for a in q.arrows:
+        key = (a.source, a.target, a.weight, monomial_key(a.label_exponents()))
+        add(key, {(a.id, a.id): (a.id,)})
+    while pending:
+        _, key = heapq.heappop(pending)
+        src, at, weight, label = key
+        least: dict[str, tuple[str, ...]] = {}
+        for (first, _), ids in fibers[key].items():
+            if first not in least or ids < least[first]:
+                least[first] = ids
+        for b in q.outgoing(at):
+            product = dict(label)
+            for var, e in b.label_exponents().items():
                 product[var] = product.get(var, 0) + e
-            key = (src, a.target, weight + a.weight, monomial_key(product))
-            fibers.setdefault(key, []).append(Path(src, path))
-            walk(src, a.target, path, d, weight + a.weight, product)
-
-    for src in q.sources():
-        walk(src, src, (), 0, 0, {})
-    return {key: sorted(fibers[key], key=Path.arrow_ids) for key in sorted(fibers, key=str)}
+            add(
+                (src, b.target, weight + b.weight, monomial_key(product)),
+                {(first, b.id): ids + (b.id,) for first, ids in least.items()},
+            )
+    return {key: fibers[key] for key in sorted(fibers, key=str)}
 
 
-def _component_leaders(paths: list[Path]) -> list[Path]:
-    """The least path of each component of a fiber, in order.
+def _fiber_relations(q: Quiver, fibers: Mapping[tuple, dict]) -> list[Relation]:
+    """The relations of ``derive_binomial_relations``, from ``_fiber_ends``."""
+    relations: list[Relation] = []
+    for ends in fibers.values():
+        parent: dict[tuple[int, str], tuple[int, str]] = {}
 
-    ``paths`` must be sorted.  Two paths of length >= 3 are joined when they
-    share their first arrow or their last arrow.
-    """
-    parent = list(range(len(paths)))
+        def root(end: tuple[int, str]) -> tuple[int, str]:
+            while end in parent:
+                end = parent[end]
+            return end
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    anchors: dict[tuple[int, str], int] = {}
-    for i, p in enumerate(paths):
-        if len(p) < 3:
-            continue
-        for end in (0, -1):
-            ri, rj = find(i), find(anchors.setdefault((end, p.arrows[end].id), i))
-            # the smaller index stays the root, so each root is its component's least path
-            parent[max(ri, rj)] = min(ri, rj)
-    return [p for i, p in enumerate(paths) if find(i) == i]
+        for (first, last), ids in ends.items():
+            if len(ids) >= 3 and (r := root((0, first))) != (s := root((1, last))):
+                parent[r] = s
+        leaders: dict[tuple, tuple[str, ...]] = {}
+        for (first, last), ids in ends.items():
+            if len(ids) >= 2:
+                component = root((0, first)) if len(ids) >= 3 else ids
+                if component not in leaders or ids < leaders[component]:
+                    leaders[component] = ids
+        paths = [Path(q.arrow(p[0]).source, map(q.arrow, p)) for p in sorted(leaders.values())]
+        relations.extend(Relation(((1, paths[0]), (-1, p))) for p in paths[1:])
+    return relations
 
 
 def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[Relation]:
     """Binomial relations induced by coincidences of monomial label products.
 
-    The paths of length >= 2 in a fiber of ``path_fibers`` (equal
+    The paths of length >= 2 in one fiber of ``_fiber_ends`` (equal
     endpoints, total weight and label product) compose to the same map of
-    sheaves.  Matching is by path-algebra degree (equivalently, by endpoints
-    plus total weight) rather than by raw length, since a labeled composite
-    arrow can shortcut a longer path.
+    sheaves.  Matching is by path-algebra degree rather than by raw length,
+    since a labeled composite arrow can shortcut a longer path.
 
     Two paths of length >= 3 in a fiber that share their first arrow ``a``
     differ by ``a`` times the difference of two paths in a fiber of lower
     degree, and likewise for a shared last arrow, so their relation follows
-    from lower-degree ones.  Joining paths along shared end arrows splits
-    each fiber into components; the relations are ``leader_0 - leader_k``,
-    one per extra component, where ``leader_k`` is the least path (by arrow
-    ids) of the k-th component.  They generate the same ideal as all
-    pairwise differences.  Length-2 paths are never joined: removing the
-    shared arrow leaves a single arrow, and a difference of single arrows is
-    not a relation.
+    from lower-degree ones.  Joining the (first, last) pairs of such paths
+    along shared end arrows splits each fiber into components; the
+    relations are ``leader_0 - leader_k``, one per extra component, where
+    ``leader_k`` is the least path (by arrow ids) of the k-th component.
+    They generate the same ideal as all pairwise differences.  Length-2
+    paths are never joined: removing the shared arrow leaves a single arrow,
+    and a difference of single arrows is not a relation.
 
-    ``max_degree`` bounds the search as in ``path_fibers``.
+    ``max_degree`` bounds the paths as in ``_fiber_ends``.
     """
-    return fiber_relations(path_fibers(q, max_degree))
-
-
-def fiber_relations(fibers: Mapping[tuple, list[Path]]) -> list[Relation]:
-    """The relations of ``derive_binomial_relations``, from fibers already
-    grouped by ``path_fibers``."""
-    relations: list[Relation] = []
-    for fiber in fibers.values():
-        leaders = _component_leaders([p for p in fiber if len(p) >= 2])
-        relations.extend(Relation(((1, leaders[0]), (-1, other))) for other in leaders[1:])
-    return relations
+    return _fiber_relations(q, _fiber_ends(q, max_degree))
 
 
 # ---------------------------------------------------------------------------

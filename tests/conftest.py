@@ -1,5 +1,5 @@
 """In-process runs of the command line, for the CLI and golden tests, and
-the all-paths walk the oracles of the quiver and catalog tests are built on."""
+the all-paths walk the oracles of the catalog and cycle tests are built on."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout

@@ -25,9 +25,9 @@ from quiverstab.catalog import (
 from quiverstab.points import satisfies_relations, vanishing_pattern
 from quiverstab.quiver import (
     QuiverError,
+    _fiber_ends,
     grading_certificate,
     monomial_key,
-    path_fibers,
 )
 
 ALL_NAMES = ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"]
@@ -154,7 +154,7 @@ class TestHomDimensions:
         verdicts = []
         for variant in (spec, *_dropping_one_arrow(spec)):
             q = _weight_zero_quiver(variant)
-            got = _verdict(_check_hom_dimensions, name, q, path_fibers(q), variant.variables)
+            got = _verdict(_check_hom_dimensions, name, q, _fiber_ends(q), variant.variables)
             assert got == _verdict(hom_check_by_node_pairs, name, q, variant.variables)
             verdicts.append(got)
         # the entry itself passes, and some arrow is needed for the full Hom space

@@ -389,6 +389,14 @@ class TestCharacterCommand:
         result = runner.invoke(main, ["character"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("entry,index", [("1@0,1", "(0, 1)"), ("1@4,1", "(4, 1)")])
+    def test_entry_out_of_range_exits_2(self, runner, entry, index):
+        result = runner.invoke(main, ["character", "--m", entry, "--n", "3"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1] == f"Error: weight entry {index} is outside 1..3"
+
 
 class TestSupportsAndCone:
     def test_supports_p2(self, runner):
@@ -437,6 +445,15 @@ class TestCyclesAndSeparate:
         assert a.exit_code == 0
         assert a.output == b.output
         assert json.loads(a.output)["separated"] == 10
+
+    def test_cycles_of_one_loop_at_length_1100(self, runner, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"n": 1, "arrows": [{"id": "a", "source": 1, "target": 1}]}))
+        result = runner.invoke(main, ["cycles", "--quiver", str(path), "--max-len", "1100"])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert lines[-1] == "total: 1100"
+        assert [line.split() for line in lines[:-1]] == [["a"] * k for k in range(1, 1101)]
 
     @pytest.mark.parametrize("command", ["cycles", "separate"])
     def test_max_len_zero_exits_2(self, runner, command):

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from conftest import enumerate_paths
 
+from quiverstab import quiver
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
 from quiverstab.invariants import enumerate_cycles
 from quiverstab.points import RepresentationPoint, satisfies_relations
@@ -13,12 +15,12 @@ from quiverstab.quiver import (
     Quiver,
     QuiverError,
     Relation,
+    _fiber_ends,
     arrow_degree,
     derive_binomial_relations,
     grading_certificate,
     monomial_key,
     parse_monomial,
-    path_fibers,
     as_fraction,
     as_int,
     quiver_from_json,
@@ -211,17 +213,67 @@ def default_max_degree(q: Quiver) -> int:
 
 def all_paths_fibers(q: Quiver, max_degree: int) -> dict[tuple, list[Path]]:
     """Oracle: every path of length >= 1 and degree <= max_degree, listed by
-    one enumerate_paths walk per ordered node pair and grouped by endpoints,
-    total weight and label product."""
+    a depth-first walk from every node and grouped by endpoints, total
+    weight and label product; keys in ``str`` order, each fiber sorted by
+    arrow ids."""
     fibers: dict[tuple, list[Path]] = {}
-    for src in range(1, q.n + 1):
-        for dst in range(1, q.n + 1):
-            for p in enumerate_paths(q, src, dst, max_degree):
-                if len(p) < 1 or sum(arrow_degree(q, a) for a in p.arrows) > max_degree:
-                    continue
-                key = (src, dst, p.total_weight, monomial_key(p.label_exponents()))
+
+    def walk(src: int, arrows: tuple[Arrow, ...]):
+        at = arrows[-1].target if arrows else src
+        for a in q.outgoing(at):
+            p = Path(src, arrows + (a,))
+            if sum(arrow_degree(q, b) for b in p.arrows) <= max_degree:
+                key = (src, p.target, p.total_weight, monomial_key(p.label_exponents()))
                 fibers.setdefault(key, []).append(p)
-    return fibers
+                walk(src, p.arrows)
+
+    for src in range(1, q.n + 1):
+        walk(src, ())
+    return {key: sorted(fibers[key], key=Path.arrow_ids) for key in sorted(fibers, key=str)}
+
+
+def least_path_per_ends(fibers: dict[tuple, list[Path]]) -> dict[tuple, dict]:
+    """Oracle: per fiber, the least path (arrow ids) of each realized
+    (first arrow, last arrow) pair, read off the fiber's listed paths."""
+    summary: dict[tuple, dict] = {}
+    for key, paths in fibers.items():
+        ends = summary[key] = {}
+        for p in paths:
+            ends.setdefault((p.arrows[0].id, p.arrows[-1].id), p.arrow_ids())
+    return summary
+
+
+def component_leaders(paths: list[Path]) -> list[Path]:
+    """Oracle: the least path of each component of a sorted fiber, joining
+    two paths of length >= 3 when they share their first or their last
+    arrow, by a union-find over the paths themselves."""
+    parent = list(range(len(paths)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    anchors: dict[tuple[int, str], int] = {}
+    for i, p in enumerate(paths):
+        if len(p) < 3:
+            continue
+        for end in (0, -1):
+            ri, rj = find(i), find(anchors.setdefault((end, p.arrows[end].id), i))
+            # the smaller index stays the root, so each root is its component's least path
+            parent[max(ri, rj)] = min(ri, rj)
+    return [p for i, p in enumerate(paths) if find(i) == i]
+
+
+def component_relations(q: Quiver, max_degree: int | None = None) -> list[Relation]:
+    """Oracle: ``leader_0 - leader_k`` per fiber of all_paths_fibers, from
+    the components of its paths of length >= 2."""
+    relations = []
+    for fiber in all_paths_fibers(q, max_degree or default_max_degree(q)).values():
+        leaders = component_leaders([p for p in fiber if len(p) >= 2])
+        relations.extend(Relation(((1, leaders[0]), (-1, other))) for other in leaders[1:])
+    return relations
 
 
 def all_pairs_relations(q: Quiver) -> list[Relation]:
@@ -328,16 +380,51 @@ class TestMinimalRelations:
         assert (("a43_2", "a32_2", "a21_1"), ("a43_3", "a32_1", "a21_1")) not in pairs
 
 
+def _random_graded_quiver(rng):
+    """A labeled quiver with positive arrow degrees: loops, cycles, parallel
+    arrows, weights and composite labels, on up to five nodes."""
+    n = rng.randint(1, 5)
+    arrows = []
+    for k in range(rng.randint(1, 10)):
+        s, t = rng.randint(1, n), rng.randint(1, n)
+        # s - t + n * weight > 0 needs a positive weight unless s > t
+        weight = rng.choice([0, 0, 0, 1] if s > t else [1, 1, 2])
+        label = rng.choice(["1", "x", "y", "x*y", "x^2"])
+        arrows.append(Arrow(f"a{k}", s, t, weight, label))
+    return Quiver(n=n, arrows=tuple(arrows))
+
+
 class TestPathFibers:
-    @pytest.mark.parametrize("name", ["p2-helix", "pn(3)"])
+    """The fiber-key pass against every path of each fiber: the same keys in
+    the same order, the same least path per (first, last) pair, and the same
+    relations as the component rule over the paths."""
+
+    @staticmethod
+    def _check(q, max_degree=None):
+        oracle = all_paths_fibers(q, max_degree or default_max_degree(q))
+        fibers = _fiber_ends(q, max_degree)
+        assert list(fibers) == list(oracle)
+        assert fibers == least_path_per_ends(oracle)
+        assert derive_binomial_relations(q, max_degree) == component_relations(q, max_degree)
+
+    @pytest.mark.parametrize(
+        "name", ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)", "pn(4)"]
+    )
     @pytest.mark.parametrize("max_degree", [None, 2])
     def test_matches_all_paths_grouping(self, name, max_degree):
-        q = get_entry(name).quiver
-        oracle = all_paths_fibers(q, max_degree or default_max_degree(q))
-        fibers = path_fibers(q, max_degree)
-        assert list(fibers) == sorted(oracle, key=str)
-        for key, paths in fibers.items():
-            assert [p.arrow_ids() for p in paths] == sorted(p.arrow_ids() for p in oracle[key])
+        self._check(get_entry(name).quiver, max_degree)
+
+    def test_random_graded_quivers(self):
+        rng = random.Random(47)
+        lengths = set()
+        for _ in range(400):
+            q = _random_graded_quiver(rng)
+            max_degree = rng.choice([None, None, rng.randint(1, 3 * q.n)])
+            self._check(q, max_degree)
+            for rel in derive_binomial_relations(q, max_degree):
+                lengths.add(tuple(len(p) for _, p in rel.terms))
+        # relations between paths of length 2, of length >= 3, and of mixed lengths
+        assert {(2, 2), (3, 3), (2, 3), (3, 2)} <= lengths
 
 
 class TestCostFollowsArrows:
@@ -364,6 +451,30 @@ class TestCostFollowsArrows:
         monkeypatch.setattr(Quiver, "outgoing", counted)
         walk(q)
         assert 0 < len(calls) <= 10
+
+    def test_relations_step_through_keys_not_degrees(self):
+        # the degree bound is n = 10**6; a step per degree would run that many lines
+        n = 10**6
+        q = Quiver(
+            n=n, arrows=(Arrow("a", 1, n, weight=1, label="x"), Arrow("b", n, 1, label="y"))
+        )
+        lines = 0
+
+        def trace(frame, event, arg):
+            nonlocal lines
+            if frame.f_code.co_filename != quiver.__file__:
+                return None
+            lines += event == "line"
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            relations = derive_binomial_relations(q)
+        finally:
+            sys.settrace(previous)
+        assert relations == []
+        assert lines < 1000
 
 
 def bfs_has_path(q, src, dst):
