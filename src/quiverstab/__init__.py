@@ -28,8 +28,6 @@ _EXPORTS = {
         "RepresentationPoint",
         "TorusElement",
         "evaluate_path",
-        "point_from_json",
-        "point_to_json",
         "satisfies_relations",
         "torus_act",
         "vanishing_pattern",

@@ -285,16 +285,21 @@ def _check_hom_dimensions(name: str, q: Quiver, fibers, variables) -> None:
 
     On a weight-zero quiver each fiber key from j to i is one monomial of
     degree pic(E_j) - pic(E_i), and the count of all such monomials is the
-    dimension of Hom(E_i, E_j)."""
+    dimension of Hom(E_i, E_j).  Every ordered pair of distinct nodes is
+    compared, so a pair with no path must have no Hom."""
     spans = Counter((j, i) for j, i, _, _ in fibers)
     degrees = [d for _, d in variables]
-    for (j, i), count in sorted(spans.items()):
-        target = tuple(a - b for a, b in zip(q.pic[j - 1], q.pic[i - 1]))
-        expected = len(monomials_of_degree(degrees, target))
-        if count != expected:
-            raise QuiverError(
-                f"{name}: paths {j}->{i} span {count} monomials, Hom dimension is {expected}"
-            )
+    for j in range(1, q.n + 1):
+        for i in range(1, q.n + 1):
+            if i == j:
+                continue
+            target = tuple(a - b for a, b in zip(q.pic[j - 1], q.pic[i - 1]))
+            expected = len(monomials_of_degree(degrees, target))
+            if spans[j, i] != expected:
+                raise QuiverError(
+                    f"{name}: paths {j}->{i} span {spans[j, i]} monomials, "
+                    f"Hom dimension is {expected}"
+                )
 
 
 def _build(name: str, spec: _Spec) -> CatalogEntry:
@@ -348,20 +353,13 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def _coerce_cox(entry: CatalogEntry, cox_values) -> dict[str, Fraction]:
-    """Coordinates by variable name; values follow ``as_fraction``."""
+    """Coordinates by variable name, given in ``var_names`` order; values
+    follow ``as_fraction``."""
     names = entry.var_names
-    if isinstance(cox_values, Mapping):
-        vals = {str(k): as_fraction(v) for k, v in cox_values.items()}
-    else:
-        seq = list(cox_values)
-        if len(seq) != len(names):
-            raise ValueError(
-                f"expected {len(names)} coordinates ({', '.join(names)}), got {len(seq)}"
-            )
-        vals = {name: as_fraction(v) for name, v in zip(names, seq)}
-    if set(vals) != set(names):
-        raise ValueError(f"coordinates must be exactly {names}")
-    return vals
+    seq = list(cox_values)
+    if len(seq) != len(names):
+        raise ValueError(f"expected {len(names)} coordinates ({', '.join(names)}), got {len(seq)}")
+    return {name: as_fraction(v) for name, v in zip(names, seq)}
 
 
 def check_irrelevant_locus(entry: CatalogEntry, vals: Mapping[str, Fraction]):
@@ -418,13 +416,12 @@ def sample_geometric_point(entry: CatalogEntry, rng: random.Random):
     return cox, fiber
 
 
-def sample_cox_values(
-    entry: CatalogEntry, rng: random.Random, zero_prob: float = 0.25
-):
-    """Random coordinates that may vanish, resampled off the irrelevant locus."""
+def sample_cox_values(entry: CatalogEntry, rng: random.Random):
+    """Random coordinates, each zero with probability 1/4, resampled off the
+    irrelevant locus."""
     while True:
         vals = tuple(
-            Fraction(0) if rng.random() < zero_prob else _random_nonzero(rng)
+            Fraction(0) if rng.random() < 0.25 else _random_nonzero(rng)
             for _ in entry.cox_variables
         )
         try:

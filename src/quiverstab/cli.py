@@ -127,11 +127,13 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
     if point_path is not None:
         from . import points as pts
 
-        return _read_json(
-            point_path,
-            "point file",
-            lambda data: pts.RepresentationPoint.for_quiver(q, pts.point_from_dict(data).as_dict()),
-        )
+        def point(data):
+            values = data.get("values") if isinstance(data, dict) else None
+            if not isinstance(values, dict):
+                raise ValueError('expected {"values": {arrow id: value, ...}}')
+            return pts.RepresentationPoint.for_quiver(q, values)
+
+        return _read_json(point_path, "point file", point)
     if entry is None:
         raise UsageError("--taut needs a catalog --example with coordinate data")
     from . import catalog as cat

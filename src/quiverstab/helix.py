@@ -104,20 +104,19 @@ class DegreeCheck(Record):
 
 
 def check_prop41_degrees(q: Quiver, m: WeightMatrix) -> DegreeCheck:
-    """Check sum_ij m[i][j] * (pic(E_j) - pic(E_i)) == pic(E_1) - pic(E_n) - canonical."""
+    """Check sum_ij m[i][j] * (pic(E_j) - pic(E_i)) == pic(E_1) - pic(E_n) - canonical.
+
+    The left side is ``e_chi_degree`` of the character of ``m``: the weight
+    ``m[i][j]`` adds to chi_j and takes from chi_i.
+    """
+    from .stability import character_from_weights
+
     if q.pic is None or q.canonical is None:
         raise QuiverError("degree check needs pic and canonical data")
     if m.n != q.n:
         raise ValueError(f"weight matrix size {m.n} != n = {q.n}")
-    rank = len(q.canonical)
-    left = [0] * rank
-    for i in range(1, q.n + 1):
-        for j in range(1, q.n + 1):
-            w = m.entry(i, j)
-            if w:
-                for k in range(rank):
-                    left[k] += w * (q.pic[j - 1][k] - q.pic[i - 1][k])
+    left = e_chi_degree(character_from_weights(m), q.pic)
     right = tuple(
-        q.pic[0][k] - q.pic[q.n - 1][k] - q.canonical[k] for k in range(rank)
+        q.pic[0][k] - q.pic[q.n - 1][k] - q.canonical[k] for k in range(len(q.canonical))
     )
-    return DegreeCheck(tuple(left) == right, tuple(left), right)
+    return DegreeCheck(left == right, left, right)

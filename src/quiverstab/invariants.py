@@ -41,11 +41,6 @@ class CycleMonomial(Record):
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
 
-    def canonical(self) -> "CycleMonomial":
-        ids = self.arrow_ids()
-        k = min(range(len(ids)), key=lambda i: ids[i:] + ids[:i])
-        return CycleMonomial(self.arrows[k:] + self.arrows[:k])
-
     def as_path(self) -> Path:
         return Path(self.base, self.arrows)
 

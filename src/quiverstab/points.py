@@ -7,7 +7,6 @@ are `fractions.Fraction` throughout and floats are rejected.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -50,10 +49,6 @@ class RepresentationPoint(Record):
             raise PointError(f"values for unknown arrows {sorted(extra)}")
         return cls.from_mapping(values)
 
-    @classmethod
-    def zero(cls, q: Quiver) -> "RepresentationPoint":
-        return cls.for_quiver(q, {a.id: 0 for a in q.arrows})
-
     def as_dict(self) -> Mapping[str, Fraction]:
         """The values by arrow id, read-only."""
         return MappingProxyType(self._by_id)
@@ -75,10 +70,6 @@ class TorusElement(Record):
         self.__dict__.update(t=t)
         if any(s == 0 for s in t):
             raise PointError("torus element entries must be nonzero")
-
-    @classmethod
-    def of(cls, *scalars) -> "TorusElement":
-        return cls(scalars)
 
 
 def evaluate_path(p: RepresentationPoint, path: Path) -> Fraction:
@@ -118,34 +109,3 @@ def torus_act(q: Quiver, p: RepresentationPoint, g: TorusElement) -> Representat
 def vanishing_pattern(p: RepresentationPoint) -> frozenset[str]:
     """The set of arrow ids with exactly-zero value."""
     return frozenset(k for k, v in p.values if v == 0)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def point_to_dict(p: RepresentationPoint) -> dict:
-    return {"values": {k: str(v) for k, v in p.values}}
-
-
-def point_from_dict(data: Mapping) -> RepresentationPoint:
-    """Values follow ``as_fraction``: integers or rational strings like
-    ``"-3/4"``."""
-    try:
-        values = {str(k): v for k, v in data["values"].items()}
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise PointError(f"malformed point description: {exc!r}") from exc
-    return RepresentationPoint.from_mapping(values)
-
-
-def point_to_json(p: RepresentationPoint) -> str:
-    return json.dumps(point_to_dict(p), indent=2)
-
-
-def point_from_json(text: str) -> RepresentationPoint:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PointError(f"invalid JSON: {exc}") from exc
-    return point_from_dict(data)

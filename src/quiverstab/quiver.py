@@ -401,7 +401,7 @@ def grading_certificate(q: Quiver) -> GradingCertificate:
     return GradingCertificate(True)
 
 
-def _fiber_ends(q: Quiver, max_degree: int | None = None) -> dict[tuple, dict]:
+def _fiber_ends(q: Quiver) -> dict[tuple, dict]:
     """The fibers of the paths of length >= 1, without listing their paths.
 
     Paths with the same source, target, total weight and label product
@@ -415,9 +415,9 @@ def _fiber_ends(q: Quiver, max_degree: int | None = None) -> dict[tuple, dict]:
     ``b`` extend those of the fiber without ``b``, of lower degree, and
     paths of one degree are never prefixes of each other, so the least path
     with ends ``(a, b)`` is the least one of that fiber starting with ``a``,
-    then ``b``.  The cost follows the keys, not ``max_degree``, which bounds
-    the paths by total degree: all paths on acyclic quivers by default, and
-    degree ``n`` on cyclic ones, one trip around the added helix arrows.
+    then ``b``.  On a cyclic quiver the paths are bounded by total degree
+    ``n``, one trip around the added helix arrows; on an acyclic one nothing
+    is bounded.  The cost follows the keys, not the bound.
     """
     import heapq  # deferred: only relation derivation loads it
 
@@ -427,8 +427,7 @@ def _fiber_ends(q: Quiver, max_degree: int | None = None) -> dict[tuple, dict]:
     cert = grading_certificate(q)
     if not cert:
         raise QuiverError(f"path fibers need positive arrow degrees; {cert.witness.id} fails")
-    if max_degree is None:
-        max_degree = q.n if q.has_cycle() else sum(arrow_degree(q, a) for a in q.arrows)
+    max_degree = q.n if q.has_cycle() else float("inf")
 
     fibers: dict[tuple, dict[tuple[str, str], tuple[str, ...]]] = {}
     pending: list[tuple[int, tuple]] = []
@@ -488,7 +487,7 @@ def _fiber_relations(q: Quiver, fibers: Mapping[tuple, dict]) -> list[Relation]:
     return relations
 
 
-def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[Relation]:
+def derive_binomial_relations(q: Quiver) -> list[Relation]:
     """Binomial relations induced by coincidences of monomial label products.
 
     The paths of length >= 2 in one fiber of ``_fiber_ends`` (equal
@@ -507,9 +506,9 @@ def derive_binomial_relations(q: Quiver, max_degree: int | None = None) -> list[
     paths are never joined: removing the shared arrow leaves a single arrow,
     and a difference of single arrows is not a relation.
 
-    ``max_degree`` bounds the paths as in ``_fiber_ends``.
+    The paths are bounded by degree as in ``_fiber_ends``.
     """
-    return _fiber_relations(q, _fiber_ends(q, max_degree))
+    return _fiber_relations(q, _fiber_ends(q))
 
 
 # ---------------------------------------------------------------------------

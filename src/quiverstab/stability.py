@@ -71,10 +71,6 @@ class WeightMatrix(Record):
                     raise ValueError("weight matrix entries must be non-negative")
 
     @classmethod
-    def zero(cls, n: int) -> "WeightMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
-    @classmethod
     def from_entries(cls, n: int, entries: dict[tuple[int, int], int]) -> "WeightMatrix":
         """Build from 1-indexed {(i, j): m_ij} entries; indices follow
         ``as_int``, and one outside ``1..n`` raises ValueError."""

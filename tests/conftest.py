@@ -1,5 +1,6 @@
-"""In-process runs of the command line, for the CLI and golden tests, and
-the all-paths walk the oracles of the catalog and cycle tests are built on."""
+"""In-process runs of the command line, for the CLI and golden tests; the
+all-paths walk the oracles of the catalog and cycle tests are built on; and
+the all-zero point and weight matrix."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,7 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from quiverstab.points import RepresentationPoint
 from quiverstab.quiver import Arrow, Path, Quiver, QuiverError
+from quiverstab.stability import WeightMatrix
 
 
 @dataclass
@@ -77,3 +80,13 @@ def enumerate_paths(q: Quiver, src: int, dst: int, max_len: int) -> list[Path]:
 
     walk(src, ())
     return out
+
+
+def zero_point(q: Quiver) -> RepresentationPoint:
+    """The point of ``q`` with every arrow value zero."""
+    return RepresentationPoint.for_quiver(q, dict.fromkeys([a.id for a in q.arrows], 0))
+
+
+def zero_weights(n: int) -> WeightMatrix:
+    """The n x n weight matrix with every entry zero."""
+    return WeightMatrix.from_entries(n, {})

@@ -165,8 +165,8 @@ def test_criterion_5_torus_invariance():
             cycles = enumerate_cycles(q, q.n)
             for _ in range(rounds):
                 p = _random_point(q, rng)
-                g = TorusElement.of(
-                    *[
+                g = TorusElement(
+                    [
                         Fraction(rng.randint(1, 12), rng.randint(1, 12))
                         * (1 if rng.random() < 0.5 else -1)
                         for _ in range(q.n)

@@ -109,15 +109,14 @@ class TestEntries:
 
 def hom_check_by_node_pairs(name, q, variables):
     """Oracle: the Hom-dimension check with one enumerate_paths walk per
-    ordered node pair, each counting the distinct label products."""
+    ordered node pair, each counting the distinct label products; a pair
+    with no path counts zero."""
     degrees = [d for _, d in variables]
     for j in range(1, q.n + 1):
         for i in range(1, q.n + 1):
             if i == j:
                 continue
             paths = [p for p in enumerate_paths(q, j, i, q.n) if len(p) >= 1]
-            if not paths:
-                continue
             products = {monomial_key(p.label_exponents()) for p in paths}
             target = tuple(q.pic[j - 1][k] - q.pic[i - 1][k] for k in range(len(q.canonical)))
             expected = len(monomials_of_degree(degrees, target))
@@ -136,6 +135,13 @@ def _dropping_one_arrow(spec):
             yield spec.replace(levels=spec.levels[:at] + (level,) + spec.levels[at + 1 :])
 
 
+def _dropping_one_level(spec):
+    """Each spec that drops all the weight-zero arrows of one level of
+    ``spec``, and its gg table, which may name a pair left without paths."""
+    for at in range(len(spec.levels)):
+        yield spec.replace(levels=spec.levels[:at] + spec.levels[at + 1 :], gg=None)
+
+
 def _verdict(check, *args):
     try:
         check(*args)
@@ -151,15 +157,18 @@ class TestHomDimensions:
     @pytest.mark.parametrize("name", sorted(WEIGHT_ZERO_SPECS))
     def test_same_verdicts_as_node_pair_walks(self, name):
         spec = WEIGHT_ZERO_SPECS[name]
+        arrows, levels = list(_dropping_one_arrow(spec)), list(_dropping_one_level(spec))
         verdicts = []
-        for variant in (spec, *_dropping_one_arrow(spec)):
+        for variant in (spec, *arrows, *levels):
             q = _weight_zero_quiver(variant)
             got = _verdict(_check_hom_dimensions, name, q, _fiber_ends(q), variant.variables)
             assert got == _verdict(hom_check_by_node_pairs, name, q, variant.variables)
             verdicts.append(got)
-        # the entry itself passes, and some arrow is needed for the full Hom space
+        # the entry itself passes, some arrow is needed for the full Hom space,
+        # and every level is: without it, some pair has fewer paths than Homs
         assert verdicts[0] == "passes"
-        assert any(v != "passes" for v in verdicts[1:])
+        assert any(v != "passes" for v in verdicts[1 : 1 + len(arrows)])
+        assert all(v != "passes" for v in verdicts[1 + len(arrows) :])
 
     def test_f1_without_an_arrow_fails(self):
         spec = _SPECS["f1"]
@@ -167,6 +176,14 @@ class TestHomDimensions:
         message = "f1: paths 4->1 span 5 monomials, Hom dimension is 6"
         with pytest.raises(QuiverError, match=message):
             _build("f1", spec.replace(levels=levels))
+
+    def test_p1xp1_spiral_without_a_level_fails(self):
+        # Hom(O(1,0), O(1,1)) = O(0,1) has two sections, and no path is left from 3 to 1
+        spec = _SPECS["p1xp1-spiral"]
+        levels = tuple(level for level in spec.levels if level[:2] != (3, 2))
+        message = "p1xp1-spiral: paths 3->1 span 0 monomials, Hom dimension is 4"
+        with pytest.raises(QuiverError, match=message):
+            _build("p1xp1-spiral", spec.replace(levels=levels))
 
 
 class TestMonomialsOfDegree:
@@ -243,7 +260,7 @@ class TestTautologicalPoint:
         assert p.value("a32_3") == 3
 
     def test_f1_composite_labels(self):
-        p = tautological_point(get_entry("f1"), {"t1": 2, "t2": 3, "t3": 5, "t4": 7})
+        p = tautological_point(get_entry("f1"), [2, 3, 5, 7])  # t1, t2, t3, t4
         assert p.value("a31_1") == 7  # t4
         assert p.value("a43_2") == 6  # t1 * t2
         assert p.value("a43_3") == 15  # t3 * t2
@@ -267,12 +284,12 @@ class TestTautologicalPoint:
         with pytest.raises(IrrelevantLocusError):
             tautological_point(get_entry("p2"), [0, 0, 0])
         with pytest.raises(IrrelevantLocusError):
-            tautological_point(get_entry("f1"), {"t1": 0, "t2": 1, "t3": 0, "t4": 1})
+            tautological_point(get_entry("f1"), [0, 1, 0, 1])
         with pytest.raises(IrrelevantLocusError):
             tautological_point(get_entry("p1xp1"), [1, 1, 0, 0])
 
     def test_partial_vanishing_allowed(self):
-        p = tautological_point(get_entry("f1"), {"t1": 0, "t2": 1, "t3": 1, "t4": 1})
+        p = tautological_point(get_entry("f1"), [0, 1, 1, 1])
         assert satisfies_relations(get_entry("f1").quiver, p)
 
     def test_wrong_coordinate_count(self):
@@ -284,7 +301,7 @@ class TestTautologicalPoint:
         [
             ("p2", [0.1, True, 1], None),
             ("p2", [1, True, 1], None),
-            ("p2", {"x0": 1, "x1": 2, "x2": 0.5}, None),
+            ("p2", [1, 2, 0.5], None),
             ("p2", [1, "1/0", 1], None),
             ("p2-helix", [1, 2, 3], 0.5),
             ("p2-helix", [1, 2, 3], True),
@@ -335,9 +352,13 @@ class TestSampling:
     def test_cox_values_avoid_irrelevant_locus(self):
         entry = get_entry("p1xp1")
         rng = random.Random(53)
-        for _ in range(60):
-            vals = sample_cox_values(entry, rng, zero_prob=0.5)
+        zeros = 0
+        for _ in range(200):
+            vals = sample_cox_values(entry, rng)
             check_irrelevant_locus(entry, dict(zip(entry.var_names, vals)))
+            zeros += vals.count(0)
+        # about one coordinate in four is zero
+        assert 100 < zeros < 300
 
     def test_seeded_reproducibility(self):
         entry = get_entry("f1")

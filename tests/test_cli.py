@@ -10,6 +10,8 @@ from hypothesis import strategies as hst
 from quiverstab.cli import main
 from quiverstab.quiver import quiver_from_json
 
+P2_VALUES = {f"a{j}_{k}": "1" for j in ("21", "32") for k in (1, 2, 3)}
+
 
 class TestCatalogCommand:
     def test_list(self, runner):
@@ -192,6 +194,50 @@ class TestCheckCommand:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert "bad point file" in result.output
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [{"values": P2_VALUES}],
+            {"point": P2_VALUES},
+            {"values": "a21_1"},
+            {"values": list(P2_VALUES)},
+            {"values": {**P2_VALUES, "a43_1": "1"}},
+            {"values": {k: v for k, v in P2_VALUES.items() if k != "a32_3"}},
+        ],
+        ids=[
+            "top-level-list",
+            "no-values",
+            "values-string",
+            "values-list",
+            "unknown-arrow",
+            "missing-arrow",
+        ],
+    )
+    def test_malformed_point_file_exits_2(self, runner, tmp_path, data):
+        point = tmp_path / "p.json"
+        point.write_text(json.dumps(data))
+        result = runner.invoke(
+            main, ["check", "--example", "p2", "--chi=-1,0,1", "--point", str(point)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1].startswith("Error: bad point file:")
+
+    @pytest.mark.parametrize("x0,satisfied", [("3/4", True), ("3/5", False)])
+    def test_point_file_fraction_strings(self, runner, tmp_path, x0, satisfied):
+        # the relations of p2 hold iff the a32 values are proportional to the a21 values
+        a21 = {"a21_1": x0, "a21_2": "3/2", "a21_3": "-3/4"}
+        a32 = {"a32_1": "-2", "a32_2": "-4", "a32_3": "2"}
+        point = tmp_path / "p.json"
+        point.write_text(json.dumps({"values": {**a21, **a32}}))
+        result = runner.invoke(
+            main,
+            ["check", "--example", "p2", "--chi=-1,0,1", "--point", str(point), "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["satisfies_relations"] is satisfied
 
     @pytest.mark.parametrize(
         "content",

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import zero_weights
 
 from quiverstab.catalog import get_entry, sample_geometric_point, tautological_point
 from quiverstab.helix import (
@@ -77,7 +78,7 @@ class TestExtendSpiral:
 
 class TestTheorem43Character:
     def test_zero_matrix(self):
-        m = WeightMatrix.zero(3)
+        m = zero_weights(3)
         assert theorem43_character(m).chi == (-1, 0, 1)
 
     def test_p2_m12(self):
@@ -91,7 +92,7 @@ class TestTheorem43Character:
     @pytest.mark.parametrize("n", [0, 1])
     def test_needs_two_nodes(self, n):
         with pytest.raises(ValueError):
-            theorem43_character(WeightMatrix.zero(n))
+            theorem43_character(zero_weights(n))
 
     def test_equals_incremented_weight_character(self):
         rng = random.Random(31)
@@ -149,10 +150,28 @@ class TestDegreeCheck:
         assert check.consistent
         assert check.left == check.right == (0, 1)
 
+    @pytest.mark.parametrize("name", ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"])
+    def test_left_is_the_weighted_pic_sum(self, name):
+        q = get_entry(name).quiver
+        rng = random.Random(name)
+        for _ in range(100):
+            entries = {
+                (i, j): rng.choice([0, 0, 1, 2])
+                for i in range(1, q.n + 1)
+                for j in range(1, q.n + 1)
+                if i != j
+            }
+            left = [0] * len(q.canonical)
+            for (i, j), w in entries.items():
+                for k in range(len(left)):
+                    left[k] += w * (q.pic[j - 1][k] - q.pic[i - 1][k])
+            check = check_prop41_degrees(q, WeightMatrix.from_entries(q.n, entries))
+            assert check.left == tuple(left)
+
     def test_missing_pic_data(self):
         q = Quiver(n=2, arrows=(Arrow("a", 2, 1),))
         with pytest.raises(QuiverError):
-            check_prop41_degrees(q, WeightMatrix.zero(2))
+            check_prop41_degrees(q, zero_weights(2))
 
 
 class TestProjectionToBase:

@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from conftest import zero_point
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -10,8 +12,6 @@ from quiverstab.points import (
     RepresentationPoint,
     TorusElement,
     evaluate_path,
-    point_from_json,
-    point_to_json,
     satisfies_relations,
     torus_act,
     vanishing_pattern,
@@ -65,23 +65,23 @@ class TestSatisfiesRelations:
         assert not satisfies_relations(P2.quiver, p2_point((1, 0, 0), (0, 1, 0)))
 
     def test_zero_point_passes(self):
-        assert satisfies_relations(P2.quiver, RepresentationPoint.zero(P2.quiver))
+        assert satisfies_relations(P2.quiver, zero_point(P2.quiver))
 
 
 class TestTorusAction:
     def test_identity(self):
         p = p2_point((1, 2, 3), (4, 5, 6))
-        g = TorusElement.of(1, 1, 1)
+        g = TorusElement((1, 1, 1))
         assert torus_act(P2.quiver, p, g) == p
 
     def test_global_scalar_acts_trivially(self):
         p = p2_point((1, 2, 3), (4, 5, 6))
-        g = TorusElement.of(7, 7, 7)
+        g = TorusElement((7, 7, 7))
         assert torus_act(P2.quiver, p, g) == p
 
     def test_scaling_per_arrow(self):
         p = p2_point((2, 2, 2), (4, 4, 4))
-        g = TorusElement.of(1, 2, 1)
+        g = TorusElement((1, 2, 1))
         acted = torus_act(P2.quiver, p, g)
         # arrow 2 -> 1 housing a_12 scales by t_1 / t_2; arrow 3 -> 2 by t_2 / t_3
         assert acted.value("a21_1") == 1
@@ -89,7 +89,7 @@ class TestTorusAction:
 
     def test_zero_entry_rejected(self):
         with pytest.raises(PointError):
-            TorusElement.of(1, 0, 1)
+            TorusElement((1, 0, 1))
 
     @given(
         v=hst.tuples(*[rationals] * 6),
@@ -99,9 +99,9 @@ class TestTorusAction:
     @settings(max_examples=60, deadline=None)
     def test_group_action_law(self, v, g, h):
         p = p2_point(v[:3], v[3:])
-        gh = TorusElement.of(*(a * b for a, b in zip(g, h)))
+        gh = TorusElement(tuple(a * b for a, b in zip(g, h)))
         assert torus_act(P2.quiver, p, gh) == torus_act(
-            P2.quiver, torus_act(P2.quiver, p, TorusElement.of(*h)), TorusElement.of(*g)
+            P2.quiver, torus_act(P2.quiver, p, TorusElement(h)), TorusElement(g)
         )
 
     @given(
@@ -111,14 +111,14 @@ class TestTorusAction:
     @settings(max_examples=60, deadline=None)
     def test_relation_preservation_and_vanishing(self, v, g):
         p = p2_point(v[:3], v[3:])
-        acted = torus_act(P2.quiver, p, TorusElement.of(*g))
+        acted = torus_act(P2.quiver, p, TorusElement(g))
         assert satisfies_relations(P2.quiver, p) == satisfies_relations(P2.quiver, acted)
         assert vanishing_pattern(p) == vanishing_pattern(acted)
 
 
 class TestVanishingPattern:
     def test_zero_point(self):
-        p = RepresentationPoint.zero(P2.quiver)
+        p = zero_point(P2.quiver)
         assert vanishing_pattern(p) == {a.id for a in P2.quiver.arrows}
 
     def test_tautological_at_unit_point(self):
@@ -132,11 +132,13 @@ class TestVanishingPattern:
 
 class TestPointIO:
     def test_round_trip(self):
+        # a point file holds each value as a string, as str() writes it
         p = p2_point((Fraction(1, 2), 2, 0), (1, 4, Fraction(-7, 3)))
-        assert point_from_json(point_to_json(p)) == p
+        text = json.dumps({k: str(v) for k, v in p.values})
+        assert RepresentationPoint.for_quiver(P2.quiver, json.loads(text)) == p
 
     def test_fraction_strings(self):
-        p = point_from_json('{"values": {"a": "3/4", "b": "-2"}}')
+        p = RepresentationPoint.from_mapping({"a": "3/4", "b": "-2"})
         assert p.value("a") == Fraction(3, 4)
         assert p.value("b") == -2
 

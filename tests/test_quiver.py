@@ -207,22 +207,24 @@ class TestDeriveBinomialRelations:
         assert (2, 3) in lengths
 
 
-def default_max_degree(q: Quiver) -> int:
-    return q.n if q.has_cycle() else sum(arrow_degree(q, a) for a in q.arrows)
+def degree_bound(q: Quiver) -> int | None:
+    """The bound of the fiber pass: degree n on a cyclic quiver, none on an
+    acyclic one, whose paths are finite in number."""
+    return q.n if q.has_cycle() else None
 
 
-def all_paths_fibers(q: Quiver, max_degree: int) -> dict[tuple, list[Path]]:
-    """Oracle: every path of length >= 1 and degree <= max_degree, listed by
-    a depth-first walk from every node and grouped by endpoints, total
-    weight and label product; keys in ``str`` order, each fiber sorted by
-    arrow ids."""
+def all_paths_fibers(q: Quiver, max_degree: int | None) -> dict[tuple, list[Path]]:
+    """Oracle: every path of length >= 1 and degree <= max_degree (any
+    degree for None), listed by a depth-first walk from every node and
+    grouped by endpoints, total weight and label product; keys in ``str``
+    order, each fiber sorted by arrow ids."""
     fibers: dict[tuple, list[Path]] = {}
 
     def walk(src: int, arrows: tuple[Arrow, ...]):
         at = arrows[-1].target if arrows else src
         for a in q.outgoing(at):
             p = Path(src, arrows + (a,))
-            if sum(arrow_degree(q, b) for b in p.arrows) <= max_degree:
+            if max_degree is None or sum(arrow_degree(q, b) for b in p.arrows) <= max_degree:
                 key = (src, p.target, p.total_weight, monomial_key(p.label_exponents()))
                 fibers.setdefault(key, []).append(p)
                 walk(src, p.arrows)
@@ -266,11 +268,11 @@ def component_leaders(paths: list[Path]) -> list[Path]:
     return [p for i, p in enumerate(paths) if find(i) == i]
 
 
-def component_relations(q: Quiver, max_degree: int | None = None) -> list[Relation]:
+def component_relations(q: Quiver) -> list[Relation]:
     """Oracle: ``leader_0 - leader_k`` per fiber of all_paths_fibers, from
     the components of its paths of length >= 2."""
     relations = []
-    for fiber in all_paths_fibers(q, max_degree or default_max_degree(q)).values():
+    for fiber in all_paths_fibers(q, degree_bound(q)).values():
         leaders = component_leaders([p for p in fiber if len(p) >= 2])
         relations.extend(Relation(((1, leaders[0]), (-1, other))) for other in leaders[1:])
     return relations
@@ -281,7 +283,7 @@ def all_pairs_relations(q: Quiver) -> list[Relation]:
     equal endpoints, total weight and label product, and length >= 2."""
     return [
         Relation(((Fraction(1), p1), (Fraction(-1), p2)))
-        for paths in all_paths_fibers(q, default_max_degree(q)).values()
+        for paths in all_paths_fibers(q, degree_bound(q)).values()
         for i, p1 in enumerate(paths)
         for p2 in paths[i + 1 :]
         if len(p1) >= 2 and len(p2) >= 2
@@ -401,11 +403,19 @@ class TestPathFibers:
 
     @staticmethod
     def _check(q, max_degree=None):
-        oracle = all_paths_fibers(q, max_degree or default_max_degree(q))
-        fibers = _fiber_ends(q, max_degree)
+        """With ``max_degree``, only the fibers whose key gives a degree
+        ``source - target + n * weight`` <= max_degree are compared, with the
+        oracle bounded there by the sum of its arrow degrees: a key must fix
+        the degree of each of its paths.  It may not exceed the pass's own
+        bound, ``n`` on a cyclic quiver."""
+        oracle = all_paths_fibers(q, max_degree or degree_bound(q))
+        fibers = _fiber_ends(q)
+        if max_degree is not None:
+            fibers = {k: v for k, v in fibers.items() if k[0] - k[1] + q.n * k[2] <= max_degree}
         assert list(fibers) == list(oracle)
         assert fibers == least_path_per_ends(oracle)
-        assert derive_binomial_relations(q, max_degree) == component_relations(q, max_degree)
+        if max_degree is None:
+            assert derive_binomial_relations(q) == component_relations(q)
 
     @pytest.mark.parametrize(
         "name", ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)", "pn(4)"]
@@ -414,14 +424,21 @@ class TestPathFibers:
     def test_matches_all_paths_grouping(self, name, max_degree):
         self._check(get_entry(name).quiver, max_degree)
 
+    @pytest.mark.parametrize("name", ["p2-helix", "p1xp1-spiral"])
+    def test_degree_bound_on_cyclic_quivers(self, name):
+        # the pass stops at degree n, where one more degree would add fibers
+        q = get_entry(name).quiver
+        fibers = _fiber_ends(q)
+        assert max(k[0] - k[1] + q.n * k[2] for k in fibers) == q.n
+        assert len(all_paths_fibers(q, q.n + 1)) > len(fibers)
+
     def test_random_graded_quivers(self):
         rng = random.Random(47)
         lengths = set()
         for _ in range(400):
             q = _random_graded_quiver(rng)
-            max_degree = rng.choice([None, None, rng.randint(1, 3 * q.n)])
-            self._check(q, max_degree)
-            for rel in derive_binomial_relations(q, max_degree):
+            self._check(q)
+            for rel in derive_binomial_relations(q):
                 lengths.add(tuple(len(p) for _, p in rel.terms))
         # relations between paths of length 2, of length >= 3, and of mixed lengths
         assert {(2, 2), (3, 3), (2, 3), (3, 2)} <= lengths

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import zero_point, zero_weights
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
 from quiverstab.points import RepresentationPoint, TorusElement, torus_act
@@ -92,10 +93,9 @@ class TestWeightMatrix:
         "build",
         [
             lambda: WeightMatrix(()),
-            lambda: WeightMatrix.zero(0),
             lambda: WeightMatrix.from_entries(0, {}),
         ],
-        ids=["constructor", "zero", "from_entries"],
+        ids=["constructor", "from_entries"],
     )
     def test_zero_nodes_rejected(self, build):
         with pytest.raises(ValueError, match="at least one node"):
@@ -114,7 +114,7 @@ class TestSubrepSupports:
         }
 
     def test_zero_point_all_subsets(self):
-        fam = subrep_supports(P2.quiver, RepresentationPoint.zero(P2.quiver))
+        fam = subrep_supports(P2.quiver, zero_point(P2.quiver))
         assert len(fam.supports) == 8
 
     def test_first_level_zero(self):
@@ -134,7 +134,7 @@ class TestSubrepSupports:
 
     def test_capacity_error(self):
         q = Quiver(n=21, arrows=tuple(Arrow(f"a{j}", j, j - 1) for j in range(2, 22)))
-        p = RepresentationPoint.zero(q)
+        p = zero_point(q)
         with pytest.raises(EnumerationCapError):
             subrep_supports(q, p)
         with pytest.raises(EnumerationCapError):
@@ -186,7 +186,7 @@ class TestStability:
         assert not stability_report(P2.quiver, p, Character((0, 0, 0))).stable
 
     def test_zero_point_unstable(self):
-        p = RepresentationPoint.zero(P2.quiver)
+        p = zero_point(P2.quiver)
         chi = Character((-1, 0, 1))
         report = stability_report(P2.quiver, p, chi)
         assert not report.semistable
@@ -222,8 +222,8 @@ class TestStability:
         for _ in range(30):
             p = random_point(F1.quiver, rng)
             chi = random_character(4, rng)
-            g = TorusElement.of(
-                *[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+            g = TorusElement(
+                [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
             )
             acted = torus_act(F1.quiver, p, g)
             before = stability_report(F1.quiver, p, chi)
@@ -245,7 +245,7 @@ class TestCharacterFromWeights:
         assert character_from_weights(m).chi == (-1, -1, 1, 1)
 
     def test_zero(self):
-        assert character_from_weights(WeightMatrix.zero(3)).chi == (0, 0, 0)
+        assert character_from_weights(zero_weights(3)).chi == (0, 0, 0)
 
     def test_p2_m13(self):
         m = WeightMatrix.from_entries(3, {(1, 3): 1})
@@ -277,7 +277,7 @@ class TestCertificates:
         assert cert.witness == (1, 2)
 
     def test_zero_matrix_good(self):
-        assert certify_good(F1.quiver, WeightMatrix.zero(4)).certified
+        assert certify_good(F1.quiver, zero_weights(4)).certified
 
     def test_f1_great(self):
         m = WeightMatrix.from_entries(4, {(1, 4): 1, (2, 3): 1})
@@ -288,7 +288,7 @@ class TestCertificates:
         assert certify_great(P2.quiver, m).certified
 
     def test_zero_matrix_not_great(self):
-        cert = certify_great(P2.quiver, WeightMatrix.zero(3))
+        cert = certify_great(P2.quiver, zero_weights(3))
         assert not cert.certified
         assert cert.unreachable_pair is not None
 
@@ -306,7 +306,7 @@ class TestCertificates:
     def test_gg_required(self):
         q = get_entry("p2-helix").quiver  # gg not carried to the total space
         with pytest.raises(QuiverError):
-            certify_good(q, WeightMatrix.zero(3))
+            certify_good(q, zero_weights(3))
 
     def test_certified_good_implies_sampled_semistability(self):
         rng = random.Random(29)
@@ -399,7 +399,7 @@ class TestStabilityCone:
         from quiverstab.quiver import Arrow, Quiver
 
         q = Quiver(n=2, arrows=(Arrow("a", 2, 1),))
-        p = RepresentationPoint.zero(q)
+        p = zero_point(q)
         cone = stability_cone(subrep_supports(q, p))
         assert cone.inequalities == ((0, 1), (1, 0))
         assert cone.equality == (1, 1)
