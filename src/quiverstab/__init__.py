@@ -49,10 +49,8 @@ _EXPORTS = {
         "supports_from_generators",
     ),
     "invariants": (
-        "CycleMonomial",
         "SeparationReport",
         "enumerate_cycles",
-        "evaluate_invariant",
         "invariant_vector",
         "separation_experiment",
     ),

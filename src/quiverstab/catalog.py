@@ -344,7 +344,10 @@ def get_entry(name: str) -> CatalogEntry:
     if m is None or int(m.group(1)) < 1:
         raise UnknownEntryError(name)
     dim = int(m.group(1))
-    return _build("p2" if dim == 2 else f"pn({dim})", _pn(dim))
+    canonical = "p2" if dim == 2 else f"pn({dim})"
+    if name != canonical:  # the cache keys on the spelling: "pn(2)" must not build p2 again
+        return get_entry(canonical)
+    return _build(canonical, _pn(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +356,15 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def _coerce_cox(entry: CatalogEntry, cox_values) -> dict[str, Fraction]:
-    """Coordinates by variable name, given in ``var_names`` order; values
-    follow ``as_fraction``."""
+    """Coordinates by variable name, given as a list or tuple in
+    ``var_names`` order; values follow ``as_fraction``."""
     names = entry.var_names
-    seq = list(cox_values)
-    if len(seq) != len(names):
-        raise ValueError(f"expected {len(names)} coordinates ({', '.join(names)}), got {len(seq)}")
-    return {name: as_fraction(v) for name, v in zip(names, seq)}
+    expected = f"expected {len(names)} coordinates ({', '.join(names)})"
+    if not isinstance(cox_values, (list, tuple)):
+        raise ValueError(f"{expected} as a list or tuple, got {type(cox_values).__name__}")
+    if len(cox_values) != len(names):
+        raise ValueError(f"{expected}, got {len(cox_values)}")
+    return {name: as_fraction(v) for name, v in zip(names, cox_values)}
 
 
 def check_irrelevant_locus(entry: CatalogEntry, vals: Mapping[str, Fraction]):

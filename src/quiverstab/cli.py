@@ -475,8 +475,20 @@ def extend_cmd(example, quiver_path, added_dim, labels):
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Run one command; ``argv`` defaults to the process's arguments."""
-    args = sys.argv[1:] if argv is None else list(argv)
+    """Run one command; ``argv`` defaults to the process's arguments.  A
+    reader that closes stdout early ends the process with exit 1, silently."""
+    try:
+        try:
+            _run(sys.argv[1:] if argv is None else list(argv))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again: point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+
+
+def _run(args: list[str]) -> None:
     if not args:
         _PARSER.print_help(sys.stderr)
         raise SystemExit(2)

@@ -1,9 +1,10 @@
 """Torus-invariant cycle functions and the generic-separation experiment.
 
-With the all-ones dimension vector, the trace of a closed walk is just the
-product of the arrow scalars along it; these products are invariant under
-the torus action because the factors t_i / t_j cancel around any closed
-walk.
+A closed walk is a ``Path`` whose target is its base.  With the all-ones
+dimension vector, the trace of a closed walk is just the product of the
+arrow scalars along it, ``evaluate_path``; these products are invariant
+under the torus action because the factors t_i / t_j cancel around any
+closed walk.
 """
 
 from __future__ import annotations
@@ -12,41 +13,12 @@ import random
 from fractions import Fraction
 
 from .points import RepresentationPoint, evaluate_path
-from .quiver import Arrow, Path, Quiver, QuiverError, Record
+from .quiver import Path, Quiver, QuiverError, Record, monomial_key
 
 
-class CycleMonomial(Record):
-    """A closed walk, stored as its lexicographically least rotation."""
-
-    _fields = ("arrows",)
-
-    def __init__(self, arrows: tuple[Arrow, ...]):
-        arrows = tuple(arrows)
-        if not arrows:
-            raise QuiverError("cycle must be nonempty")
-        for a, b in zip(arrows, arrows[1:]):
-            if a.target != b.source:
-                raise QuiverError("cycle arrows do not compose")
-        if arrows[-1].target != arrows[0].source:
-            raise QuiverError("walk does not close up")
-        self.__dict__.update(arrows=arrows)
-
-    @property
-    def base(self) -> int:
-        return self.arrows[0].source
-
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-    def arrow_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.arrows)
-
-    def as_path(self) -> Path:
-        return Path(self.base, self.arrows)
-
-
-def enumerate_cycles(q: Quiver, max_len: int) -> list[CycleMonomial]:
-    """All closed walks of length <= max_len, one per rotation class.
+def enumerate_cycles(q: Quiver, max_len: int) -> list[Path]:
+    """All closed walks of length <= max_len, one per rotation class, each
+    a ``Path`` whose target is its base.
 
     Representatives are the lexicographically least rotations (by arrow id),
     returned sorted by length and then by id sequence.  Each walk carries
@@ -58,14 +30,14 @@ def enumerate_cycles(q: Quiver, max_len: int) -> list[CycleMonomial]:
     """
     if max_len < 1:
         raise QuiverError("max_len must be at least 1")
-    cycles: list[CycleMonomial] = []
+    cycles: list[Path] = []
     # a stack, not recursion, so a long max_len cannot exhaust the interpreter's stack
     walks = [((a,), 1) for a in q.arrows]
     while walks:
         arrows, period = walks.pop()
         length = len(arrows)
         if arrows[-1].target == arrows[0].source and length % period == 0:
-            cycles.append(CycleMonomial(arrows))
+            cycles.append(Path(arrows[0].source, arrows))
         if length < max_len:
             back = arrows[length - period].id
             walks.extend(
@@ -76,15 +48,10 @@ def enumerate_cycles(q: Quiver, max_len: int) -> list[CycleMonomial]:
     return sorted(cycles, key=lambda c: (len(c), c.arrow_ids()))
 
 
-def evaluate_invariant(c: CycleMonomial, p: RepresentationPoint) -> Fraction:
-    """Product of arrow values around the walk."""
-    return evaluate_path(p, c.as_path())
-
-
-def invariant_vector(
-    cycles: list[CycleMonomial], p: RepresentationPoint
-) -> tuple[Fraction, ...]:
-    return tuple(evaluate_invariant(c, p) for c in cycles)
+def invariant_vector(cycles: list[Path], p: RepresentationPoint) -> tuple[Fraction, ...]:
+    """The value of each closed walk at the point, the product of the arrow
+    values around it."""
+    return tuple(evaluate_path(p, c) for c in cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +59,12 @@ def invariant_vector(
 # ---------------------------------------------------------------------------
 
 
-def _tautological_functions(cycles: list[CycleMonomial]):
+def _tautological_functions(cycles: list[Path]):
     """The distinct functions the cycles give on tautological points, each
     as (label exponents, total weight): there a closed walk's value is
     ``cox ** exponents * fiber ** weight``, so two such points agree on
     every walk iff they agree on these."""
-    functions = set()
-    for c in cycles:
-        path = c.as_path()
-        functions.add((tuple(sorted(path.label_exponents().items())), path.total_weight))
-    return sorted(functions)
+    return sorted({(monomial_key(c.label_exponents()), c.total_weight) for c in cycles})
 
 
 def _tautological_values(functions, names, cox, fiber) -> tuple[Fraction, ...]:

@@ -232,14 +232,6 @@ class Relation(Record):
             if len(p) < 2:
                 raise QuiverError("relation contains a path of length < 2")
 
-    @property
-    def source(self) -> int:
-        return self.terms[0][1].source
-
-    @property
-    def target(self) -> int:
-        return self.terms[0][1].target
-
 
 _N = TypeVar("_N", bound=Hashable)
 

@@ -83,6 +83,10 @@ class TestEntries:
         assert len(e3.quiver.arrows) == 12
         assert get_entry("pn(2)").quiver == get_entry("p2").quiver
 
+    def test_spellings_of_one_entry_share_it(self):
+        assert get_entry("pn(2)") is get_entry("p2")
+        assert get_entry("pn(03)") is get_entry("pn(3)")
+
     def test_total_space_entries_have_fibers(self):
         for name in ALL_NAMES:
             assert get_entry(name).fiber == (name in ("p2-helix", "p1xp1-spiral"))
@@ -295,6 +299,14 @@ class TestTautologicalPoint:
     def test_wrong_coordinate_count(self):
         with pytest.raises(ValueError):
             tautological_point(get_entry("p2"), [1, 2])
+
+    @pytest.mark.parametrize("cox", ["123", {"x0": 1, "x1": 2, "x2": 3}], ids=["str", "dict"])
+    def test_coordinates_are_a_list_or_tuple(self, cox):
+        entry = get_entry("p2")
+        with pytest.raises(ValueError, match=r"\(x0, x1, x2\) as a list or tuple"):
+            tautological_point(entry, cox)
+        with pytest.raises(ValueError, match=r"\(x0, x1, x2\) as a list or tuple"):
+            canonical_geometric_form(entry, cox)
 
     @pytest.mark.parametrize(
         "name,cox,fiber",

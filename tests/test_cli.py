@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,6 +74,29 @@ class TestCatalogCommand:
         result = runner.invoke(main, ["catalog", "--format", "json"])
         assert result.exit_code == 0, result.output
         assert len(json.loads(result.output)["entries"]) == 6
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["catalog", "f1"],
+        ["check", "--example", "p2", "--chi=-1,0,1", "--taut", "1:2:3"],
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quiverstab.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the command writes
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
 
 
 class TestCheckCommand:

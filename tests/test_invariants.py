@@ -12,22 +12,25 @@ from quiverstab.catalog import (
     tautological_point,
 )
 from quiverstab.invariants import (
-    CycleMonomial,
     SeparationReport,
     enumerate_cycles,
-    evaluate_invariant,
     invariant_vector,
     separation_experiment,
 )
-from quiverstab.points import RepresentationPoint, TorusElement, torus_act
-from quiverstab.quiver import Arrow, Quiver, QuiverError
+from quiverstab.points import RepresentationPoint, TorusElement, evaluate_path, torus_act
+from quiverstab.quiver import Arrow, Path, Quiver, QuiverError
 
 HELIX = get_entry("p2-helix")
 
 
-def rotations(c: CycleMonomial) -> list[CycleMonomial]:
-    k = len(c.arrows)
-    return [CycleMonomial(c.arrows[i:] + c.arrows[:i]) for i in range(k)]
+def closed_walk(*arrows: Arrow) -> Path:
+    walk = Path(arrows[0].source, arrows)
+    assert walk.target == walk.base
+    return walk
+
+
+def rotations(c: Path) -> list[Path]:
+    return [closed_walk(*c.arrows[i:], *c.arrows[:i]) for i in range(len(c))]
 
 
 def least_rotation(ids: tuple[str, ...]) -> int:
@@ -36,7 +39,7 @@ def least_rotation(ids: tuple[str, ...]) -> int:
     return min(range(len(ids)), key=lambda i: ids[i:] + ids[:i])
 
 
-def cycles_by_rotation_dedup(q: Quiver, max_len: int) -> list[CycleMonomial]:
+def cycles_by_rotation_dedup(q: Quiver, max_len: int) -> list[Path]:
     """Oracle: every closed path from every node, each reduced to its least
     rotation by arrow ids, with the repeats of a rotation class dropped."""
     cycles = {}
@@ -46,7 +49,7 @@ def cycles_by_rotation_dedup(q: Quiver, max_len: int) -> list[CycleMonomial]:
             if ids:
                 k = least_rotation(ids)
                 cycles.setdefault(ids[k:] + ids[:k], p.arrows[k:] + p.arrows[:k])
-    return [CycleMonomial(cycles[ids]) for ids in sorted(cycles, key=lambda ids: (len(ids), ids))]
+    return [closed_walk(*cycles[ids]) for ids in sorted(cycles, key=lambda ids: (len(ids), ids))]
 
 
 def random_looped_quiver(rng: random.Random) -> Quiver:
@@ -122,7 +125,9 @@ class TestEnumerateCycles:
     def test_catalog_against_rotation_dedup(self, name):
         q = get_entry(name).quiver
         for max_len in range(1, 2 * q.n + 1):
-            assert enumerate_cycles(q, max_len) == cycles_by_rotation_dedup(q, max_len)
+            cycles = enumerate_cycles(q, max_len)
+            assert cycles == cycles_by_rotation_dedup(q, max_len)
+            assert all(c.target == c.base for c in cycles)
 
     def test_loops_and_parallel_arrows_against_rotation_dedup(self):
         rng = random.Random(43)
@@ -132,6 +137,7 @@ class TestEnumerateCycles:
             for max_len in range(1, 6):
                 cycles = enumerate_cycles(q, max_len)
                 assert cycles == [c for c in expected if len(c) <= max_len]
+                assert all(c.target == c.base for c in cycles)
                 assert any(len(c) == 1 for c in cycles)  # the loop
 
     def test_walk_length_is_not_bound_by_the_recursion_limit(self):
@@ -153,27 +159,27 @@ class TestEnumerateCycles:
 class TestEvaluateInvariant:
     def cycle(self):
         q = HELIX.quiver
-        return CycleMonomial((q.arrow("h1"), q.arrow("a32_1"), q.arrow("a21_1")))
+        return closed_walk(q.arrow("h1"), q.arrow("a32_1"), q.arrow("a21_1"))
 
     def test_zero_point(self):
         p = zero_point(HELIX.quiver)
-        assert evaluate_invariant(self.cycle(), p) == 0
+        assert evaluate_path(p, self.cycle()) == 0
 
     def test_reciprocal_values(self):
         q = Quiver(n=2, arrows=(Arrow("a", 2, 1), Arrow("b", 1, 2, weight=1)))
-        c = CycleMonomial((q.arrow("a"), q.arrow("b")))
+        c = closed_walk(q.arrow("a"), q.arrow("b"))
         p = RepresentationPoint.for_quiver(q, {"a": 2, "b": Fraction(1, 2)})
-        assert evaluate_invariant(c, p) == 1
+        assert evaluate_path(p, c) == 1
 
     def test_tautological_cycle_value(self):
         # x-arrow twice around both levels, then the added arrow carrying lambda
         p = tautological_point(HELIX, [1, 2, 3], 5)
-        assert evaluate_invariant(self.cycle(), p) == 5
+        assert evaluate_path(p, self.cycle()) == 5
 
     def test_rotation_invariance(self):
         p = tautological_point(HELIX, [1, 2, 3], Fraction(7, 2))
         c = self.cycle()
-        values = {evaluate_invariant(r, p) for r in rotations(c)}
+        values = {evaluate_path(p, r) for r in rotations(c)}
         assert len(values) == 1
 
     def test_torus_invariance_exact(self):
@@ -192,10 +198,10 @@ class TestEvaluateInvariant:
         # with one-dimensional nodes, the trace map is a ring homomorphism
         p = tautological_point(HELIX, [1, 2, 3], 5)
         q = HELIX.quiver
-        c1 = CycleMonomial((q.arrow("h1"), q.arrow("a32_1"), q.arrow("a21_1")))
-        c2 = CycleMonomial((q.arrow("h2"), q.arrow("a32_2"), q.arrow("a21_2")))
-        joined = CycleMonomial(c1.arrows + c2.arrows)
-        assert evaluate_invariant(joined, p) == evaluate_invariant(c1, p) * evaluate_invariant(c2, p)
+        c1 = closed_walk(q.arrow("h1"), q.arrow("a32_1"), q.arrow("a21_1"))
+        c2 = closed_walk(q.arrow("h2"), q.arrow("a32_2"), q.arrow("a21_2"))
+        joined = closed_walk(*c1.arrows, *c2.arrows)
+        assert evaluate_path(p, joined) == evaluate_path(p, c1) * evaluate_path(p, c2)
 
 
 class TestSeparationExperiment:

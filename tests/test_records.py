@@ -11,7 +11,7 @@ import pytest
 
 from quiverstab.catalog import CatalogEntry, _pn, _Spec
 from quiverstab.helix import DegreeCheck
-from quiverstab.invariants import CycleMonomial, SeparationReport
+from quiverstab.invariants import SeparationReport
 from quiverstab.points import PointError, RepresentationPoint, TorusElement
 from quiverstab.quiver import (
     Arrow,
@@ -71,7 +71,6 @@ RECORDS = {
     TorusElement: lambda: TorusElement((1, Fraction(-2, 3))),
     CatalogEntry: lambda: CatalogEntry("e", _quiver(), (("x", (1,)),), (frozenset("x"),), True),
     _Spec: lambda: _pn(2),
-    CycleMonomial: lambda: CycleMonomial((Arrow("u", 1, 2), Arrow("v", 2, 1))),
     SeparationReport: lambda: SeparationReport(3, 2, 2, ()),
     DegreeCheck: lambda: DegreeCheck(True, (1,), (1,)),
 }
@@ -180,7 +179,6 @@ def test_replace_changes_only_the_given_field():
         (SupportFamily, {"n": 3}, ValueError),
         (RepresentationPoint, {"values": (("a", 0.5),)}, PointError),
         (TorusElement, {"t": (0, 1)}, PointError),
-        (CycleMonomial, {"arrows": (Arrow("u", 1, 2),)}, QuiverError),
     ],
 )
 def test_replace_runs_the_constructor_checks(cls, changes, error):
