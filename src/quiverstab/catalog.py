@@ -39,24 +39,7 @@ class IrrelevantLocusError(ValueError):
 
 class CatalogEntry(Record):
     _fields = ("name", "quiver", "cox_variables", "forbidden_vanishing", "fiber", "description")
-
-    def __init__(
-        self,
-        name: str,
-        quiver: Quiver,
-        cox_variables: tuple[tuple[str, tuple[int, ...]], ...],
-        forbidden_vanishing: tuple[frozenset[str], ...],
-        fiber: bool = False,
-        description: str = "",
-    ):
-        self.__dict__.update(
-            name=name,
-            quiver=quiver,
-            cox_variables=cox_variables,
-            forbidden_vanishing=forbidden_vanishing,
-            fiber=fiber,
-            description=description,
-        )
+    _defaults = {"fiber": False, "description": ""}
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -148,28 +131,7 @@ class _Spec(Record):
         "gg",
         "spiral",
     )
-
-    def __init__(
-        self,
-        description: str,
-        variables: tuple[tuple[str, tuple[int, ...]], ...],
-        levels: tuple[tuple[int, int, tuple[str, ...]], ...],
-        pic: tuple[tuple[int, ...], ...],
-        canonical: tuple[int, ...],
-        forbidden: tuple[frozenset[str], ...],
-        gg: frozenset[tuple[int, int]] | None = None,
-        spiral: tuple[str, ...] | None = None,
-    ):
-        self.__dict__.update(
-            description=description,
-            variables=variables,
-            levels=levels,
-            pic=pic,
-            canonical=canonical,
-            forbidden=forbidden,
-            gg=gg,
-            spiral=spiral,
-        )
+    _defaults = {"gg": None, "spiral": None}
 
 
 def _pn(dim: int) -> _Spec:

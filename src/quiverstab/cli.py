@@ -464,9 +464,15 @@ def extend_cmd(example, quiver_path, added_dim, labels):
     from . import helix as hx
 
     q, _ = _load_quiver(example, quiver_path)
-    label_list = labels.split(",") if labels else None
-    if label_list is not None and len(label_list) != added_dim:
-        raise UsageError(f"expected {added_dim} labels, got {len(label_list)}")
+    label_list = labels.split(",") if labels is not None else None
+    if label_list is not None:
+        if len(label_list) != added_dim:
+            raise UsageError(f"expected {added_dim} labels, got {len(label_list)}")
+        for label in label_list:
+            try:
+                qv.parse_monomial(label)
+            except qv.QuiverError as exc:
+                raise UsageError(f"bad label {label!r}: {exc}")
     try:
         extended = hx.extend_spiral(q, added_dim, labels=label_list)
     except qv.QuiverError as exc:

@@ -96,9 +96,6 @@ class DegreeCheck(Record):
 
     _fields = ("consistent", "left", "right")
 
-    def __init__(self, consistent: bool, left: PicVector, right: PicVector):
-        self.__dict__.update(consistent=consistent, left=left, right=right)
-
     def __bool__(self) -> bool:
         return self.consistent
 

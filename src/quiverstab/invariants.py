@@ -81,11 +81,6 @@ def _tautological_values(functions, names, cox, fiber) -> tuple[Fraction, ...]:
 class SeparationReport(Record):
     _fields = ("cycles", "pairs", "separated", "collisions")
 
-    def __init__(self, cycles: int, pairs: int, separated: int, collisions: tuple[dict, ...]):
-        self.__dict__.update(
-            cycles=cycles, pairs=pairs, separated=separated, collisions=collisions
-        )
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.separated, self.pairs) if self.pairs else Fraction(0)

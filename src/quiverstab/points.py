@@ -8,7 +8,6 @@ are `fractions.Fraction` throughout and floats are rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping
 
 from .quiver import Path, Quiver, Record, as_fraction
@@ -48,10 +47,6 @@ class RepresentationPoint(Record):
         if extra:
             raise PointError(f"values for unknown arrows {sorted(extra)}")
         return cls.from_mapping(values)
-
-    def as_dict(self) -> Mapping[str, Fraction]:
-        """The values by arrow id, read-only."""
-        return MappingProxyType(self._by_id)
 
     def value(self, arrow_id: str) -> Fraction:
         try:
@@ -95,14 +90,7 @@ def torus_act(q: Quiver, p: RepresentationPoint, g: TorusElement) -> Representat
     """Act by (g_1,...,g_n): the arrow j -> i housing a_ij is scaled by g_i / g_j."""
     if len(g.t) != q.n:
         raise PointError(f"torus element rank {len(g.t)} != n = {q.n}")
-    vals = p.as_dict()
-    out = {}
-    for a in q.arrows:
-        try:
-            v = vals[a.id]
-        except KeyError:
-            raise PointError(f"missing value for arrow {a.id!r}") from None
-        out[a.id] = v * g.t[a.target - 1] / g.t[a.source - 1]
+    out = {a.id: p.value(a.id) * g.t[a.target - 1] / g.t[a.source - 1] for a in q.arrows}
     return RepresentationPoint.from_mapping(out)
 
 

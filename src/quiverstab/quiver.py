@@ -95,14 +95,35 @@ class Record:
 
     ``_fields`` names a type's fields in constructor order.  Equality, the
     hash and the repr read those fields, and ``replace`` passes them back to
-    the constructor.  Constructors fill ``self.__dict__`` directly, since
-    setting or deleting an attribute raises.  Any other attribute is an
-    index built at construction, left out of equality, the hash and the
-    repr.  Instances have a plain ``__dict__``, which pickle restores
-    without calling ``__setattr__``.
+    the constructor.  A type whose constructor only stores its fields
+    inherits this one, which binds them as a signature would, with
+    ``_defaults`` for the fields that may be left out; a type that checks or
+    converts a field defines its own.  Constructors fill ``self.__dict__``
+    directly, since setting or deleting an attribute raises.  Any other
+    attribute is an index built at construction, left out of equality, the
+    hash and the repr.  Instances have a plain ``__dict__``, which pickle
+    restores without calling ``__setattr__``.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for field, value in kwargs.items():
+            if field not in self._fields or field in values:
+                why = "given twice" if field in values else "unknown"
+                raise TypeError(f"{name}: field {field!r} is {why}")
+            values[field] = value
+        for field in self._fields:
+            if field not in values:
+                if field not in self._defaults:
+                    raise TypeError(f"{name}: field {field!r} is missing")
+                values[field] = self._defaults[field]
+        self.__dict__.update(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
@@ -372,9 +393,7 @@ def arrow_degree(q: Quiver, a: Arrow) -> int:
 
 class GradingCertificate(Record):
     _fields = ("passed", "witness")
-
-    def __init__(self, passed: bool, witness: Arrow | None = None):
-        self.__dict__.update(passed=passed, witness=witness)
+    _defaults = {"witness": None}
 
     def __bool__(self) -> bool:
         return self.passed

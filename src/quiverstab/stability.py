@@ -122,11 +122,7 @@ class SupportFamily(Record):
 
 
 def _nonzero_arrows(q: Quiver, p: RepresentationPoint):
-    vals = p.as_dict()
-    try:
-        return [a for a in q.arrows if vals[a.id] != 0]
-    except KeyError as exc:
-        raise ValueError(f"point is missing a value for arrow {exc.args[0]!r}") from None
+    return [a for a in q.arrows if p.value(a.id) != 0]
 
 
 def subrep_supports(q: Quiver, p: RepresentationPoint, warn: bool = True) -> SupportFamily:
@@ -178,20 +174,6 @@ def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily
 
 class StabilityReport(Record):
     _fields = ("semistable", "stable", "violating_support", "supports_count")
-
-    def __init__(
-        self,
-        semistable: bool,
-        stable: bool,
-        violating_support: tuple[int, ...] | None,
-        supports_count: int,
-    ):
-        self.__dict__.update(
-            semistable=semistable,
-            stable=stable,
-            violating_support=violating_support,
-            supports_count=supports_count,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -245,9 +227,7 @@ class GoodCertificate(Record):
     """
 
     _fields = ("certified", "witness")
-
-    def __init__(self, certified: bool, witness: tuple[int, int] | None = None):
-        self.__dict__.update(certified=certified, witness=witness)
+    _defaults = {"witness": None}
 
     def __bool__(self) -> bool:
         return self.certified
@@ -267,14 +247,7 @@ def certify_good(q: Quiver, m: WeightMatrix) -> GoodCertificate:
 
 class GreatCertificate(Record):
     _fields = ("certified", "good", "unreachable_pair")
-
-    def __init__(
-        self,
-        certified: bool,
-        good: GoodCertificate,
-        unreachable_pair: tuple[int, int] | None = None,
-    ):
-        self.__dict__.update(certified=certified, good=good, unreachable_pair=unreachable_pair)
+    _defaults = {"unreachable_pair": None}
 
     def __bool__(self) -> bool:
         return self.certified
@@ -320,11 +293,6 @@ class StabilityCone(Record):
     together with the equality sum(chi) = 0."""
 
     _fields = ("n", "inequalities", "equality")
-
-    def __init__(
-        self, n: int, inequalities: tuple[tuple[int, ...], ...], equality: tuple[int, ...]
-    ):
-        self.__dict__.update(n=n, inequalities=inequalities, equality=equality)
 
     def to_dict(self) -> dict:
         return {

@@ -189,6 +189,12 @@ class TestHomDimensions:
         with pytest.raises(QuiverError, match=message):
             _build("p1xp1-spiral", spec.replace(levels=levels))
 
+    def test_label_of_the_wrong_degree_fails(self):
+        levels = ((3, 2, ("x0*x1", "x1", "x2")), (2, 1, ("x0", "x1", "x2")))
+        message = r"p2: arrow a32_1 label degree \(2,\) != \(1,\)"
+        with pytest.raises(QuiverError, match=message):
+            _build("p2", _pn(2).replace(levels=levels))
+
 
 class TestMonomialsOfDegree:
     def test_projective_line(self):

@@ -563,7 +563,14 @@ class TestExtendCommand:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--added-dim", "0"], ["--added-dim", "-2"], ["--added-dim", "2", "--labels", "x0"]],
+        [
+            ["--added-dim", "0"],
+            ["--added-dim", "-2"],
+            ["--added-dim", "2", "--labels", "x0"],
+            ["--added-dim", "2", "--labels="],
+            ["--added-dim", "1", "--labels", "x*"],
+            ["--added-dim", "3", "--labels", "x0,x1,é"],
+        ],
     )
     def test_bad_added_dim_or_labels_exits_2(self, runner, extra):
         result = runner.invoke(main, ["extend", "--example", "p2", *extra])
@@ -687,6 +694,12 @@ class TestQuiverFiles:
         result = _cycles_on_p2_with(runner, tmp_path, field, value)
         assert result.exit_code == 2
         assert f"malformed quiver description: {message}" in result.output
+
+    def test_quiver_check_exits_2(self, runner, tmp_path):
+        result = _cycles_on_p2_with(runner, tmp_path, "gg", [[True]])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == "Error: bad quiver file: gg table must be n x n"
 
     def test_catalog_env_fallback(self, runner, tmp_path, monkeypatch):
         export = runner.invoke(main, ["catalog", "p2"])

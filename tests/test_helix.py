@@ -71,6 +71,10 @@ class TestExtendSpiral:
         q = extend_spiral(P2.quiver, 2)
         assert q.relations == P2.quiver.relations
 
+    def test_added_dim_at_least_one(self):
+        with pytest.raises(QuiverError, match="added_dim must be at least 1"):
+            extend_spiral(P2.quiver, 0)
+
     def test_label_count_mismatch(self):
         with pytest.raises(QuiverError):
             extend_spiral(P2.quiver, 3, labels=("x0",))
@@ -124,6 +128,10 @@ class TestEChiDegree:
         with pytest.raises(ValueError):
             e_chi_degree(Character((-1, 1)), ((0,), (1,), (2,)))
 
+    def test_mixed_ranks(self):
+        with pytest.raises(ValueError, match="mixed ranks"):
+            e_chi_degree(Character((-1, 0, 1)), ((0,), (1, 0), (2,)))
+
 
 class TestDegreeCheck:
     def test_p2_m12_consistent(self):
@@ -172,6 +180,10 @@ class TestDegreeCheck:
         q = Quiver(n=2, arrows=(Arrow("a", 2, 1),))
         with pytest.raises(QuiverError):
             check_prop41_degrees(q, zero_weights(2))
+
+    def test_weight_matrix_size_mismatch(self):
+        with pytest.raises(ValueError, match="weight matrix size 2 != n = 3"):
+            check_prop41_degrees(P2.quiver, zero_weights(2))
 
 
 class TestProjectionToBase:

@@ -91,6 +91,10 @@ class TestTorusAction:
         with pytest.raises(PointError):
             TorusElement((1, 0, 1))
 
+    def test_rank_mismatch(self):
+        with pytest.raises(PointError, match="torus element rank 2 != n = 3"):
+            torus_act(P2.quiver, p2_point((1, 2, 3), (4, 5, 6)), TorusElement((1, 2)))
+
     @given(
         v=hst.tuples(*[rationals] * 6),
         g=hst.tuples(*[nonzero_rationals] * 3),

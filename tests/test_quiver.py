@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -304,7 +305,7 @@ def _tautological(entry, rng):
 
 def _perturbed(entry, rng):
     """A tautological point with one arrow value changed."""
-    values = dict(_tautological(entry, rng).as_dict())
+    values = dict(_tautological(entry, rng).values)
     arrow = rng.choice(entry.quiver.arrows).id
     old = values[arrow]
     while values[arrow] == old:
@@ -617,6 +618,49 @@ class TestQuiverValidation:
         paths = enumerate_paths(q, 3, 1, 2)
         with pytest.raises(ValueError):
             Relation(((coeff, paths[0]), (-1, paths[1])))
+
+    def test_unlabeled_arrow_has_no_exponents(self):
+        with pytest.raises(QuiverError, match="arrow a has no monomial label"):
+            Arrow("a", 2, 1).label_exponents()
+
+    def test_relation_arrow_not_in_quiver(self):
+        q = chain3()
+        with pytest.raises(QuiverError, match="relation uses arrow a32_1 not in quiver"):
+            q.replace(arrows=q.arrows[1:])
+
+    def test_globally_generated_needs_gg(self):
+        with pytest.raises(QuiverError, match="quiver has no gg table"):
+            Quiver(n=2, arrows=(Arrow("a", 2, 1),)).globally_generated(1, 2)
+
+    def test_relations_need_positive_arrow_degrees(self):
+        q = Quiver(n=2, arrows=(Arrow("a", 2, 1, label="x"), Arrow("b", 1, 2, label="y")))
+        with pytest.raises(QuiverError, match="positive arrow degrees; b fails"):
+            derive_binomial_relations(q)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            (
+                "relations",
+                [{"terms": [{"coeff": "1", "path": ["a32_1", "a32_2"]}]}],
+                "relations[0]: arrows a32_1 and a32_2 do not compose head-to-tail",
+            ),
+            (
+                "relations",
+                [{"terms": [{"coeff": "0", "path": ["a32_1", "a21_1"]}]}],
+                "relations[0]: relation has no nonzero coefficient",
+            ),
+            ("gg", [[True]], "gg table must be n x n"),
+            ("pic", [[0], [1, 0], [2]], "pic degrees have mixed ranks"),
+            ("canonical", [-3, 0], "canonical degree rank mismatch"),
+        ],
+    )
+    def test_quiver_file_checks(self, field, value, message):
+        data = json.loads(quiver_to_json(chain3()))
+        data[field] = value
+        with pytest.raises(QuiverError) as info:
+            quiver_from_json(json.dumps(data))
+        assert str(info.value).endswith(message)
 
 
 class TestNumberRules:

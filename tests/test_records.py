@@ -1,9 +1,12 @@
 """The contract every core value type keeps: immutable, equal and hashed by
 its fields alone, never equal across types, picklable (the benchmark sends
 reports across a fork), and rebuilt through its constructor's checks by
-``replace``."""
+``replace``.  A type whose constructor would only store its fields uses
+``Record``'s, which binds them as a signature would."""
 
+import ast
 import inspect
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -84,21 +87,73 @@ CACHES = {
 }
 
 
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "quiverstab"
+
+
 def _fields(cls) -> list[str]:
     """The constructor's parameters, which are the fields, in order."""
     return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def _only_stores_its_parameters(init: ast.FunctionDef) -> bool:
+    """True for an ``__init__`` whose body is ``self.__dict__.update(p=p, ...)``
+    over exactly its own parameters ``p``."""
+    body = init.body
+    if len(body) != 1 or not isinstance(body[0], ast.Expr):
+        return False
+    call = body[0].value
+    return (
+        isinstance(call, ast.Call)
+        and ast.unparse(call.func) == "self.__dict__.update"
+        and not call.args
+        and sorted(k.arg for k in call.keywords) == sorted(a.arg for a in init.args.args[1:])
+        and all(isinstance(k.value, ast.Name) and k.value.id == k.arg for k in call.keywords)
+    )
 
 
 def test_every_record_type_is_covered():
     assert set(Record.__subclasses__()) == set(TYPES)
 
 
+def test_no_record_constructor_only_stores_its_parameters():
+    stores = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "Record" in map(ast.unparse, node.bases):
+                stores += [
+                    f"{path.stem}.{node.name}"
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and member.name == "__init__"
+                    and _only_stores_its_parameters(member)
+                ]
+    assert stores == []
+
+
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
 class TestRecordContract:
     def test_fields_are_the_constructor_parameters(self, cls):
-        assert list(cls._fields) == _fields(cls)
         x = RECORDS[cls]()
         assert set(vars(x)) == set(cls._fields) | CACHES.get(cls, set())
+        if "__init__" in vars(cls):
+            assert list(cls._fields) == _fields(cls)
+            return
+        # the shared constructor binds like the signature the fields spell out
+        values = x._values()
+        assert cls(*values) == cls(**dict(zip(cls._fields, values))) == x
+        required = len(cls._fields) - len(cls._defaults)
+        assert set(cls._defaults) == set(cls._fields[required:])
+        assert cls(*values[:required])._values()[required:] == tuple(
+            cls._defaults[f] for f in cls._fields[required:]
+        )
+        for args, kwargs, error in [
+            ((*values, None), {}, "takes"),
+            (values, {"no_such_field": 1}, "unknown"),
+            (values, {cls._fields[0]: values[0]}, "given twice"),
+            (values[: required - 1], {}, "missing"),
+        ]:
+            with pytest.raises(TypeError, match=error):
+                cls(*args, **kwargs)
 
     def test_immutable(self, cls):
         x = RECORDS[cls]()

@@ -5,7 +5,7 @@ import pytest
 from conftest import zero_point, zero_weights
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
-from quiverstab.points import RepresentationPoint, TorusElement, torus_act
+from quiverstab.points import PointError, RepresentationPoint, TorusElement, torus_act
 from quiverstab.quiver import Arrow, Quiver, QuiverError
 from quiverstab.stability import (
     Character,
@@ -185,6 +185,20 @@ class TestStability:
         p = p2_point((1, 0, 0), (1, 0, 0))
         assert not stability_report(P2.quiver, p, Character((0, 0, 0))).stable
 
+    def test_character_length_mismatch(self):
+        p = zero_point(P2.quiver)
+        with pytest.raises(ValueError, match="character length 2 != n = 3"):
+            stability_report(P2.quiver, p, Character((-1, 1)))
+
+    def test_point_missing_an_arrow(self):
+        values = {a.id: 1 for a in P2.quiver.arrows[1:]}
+        p = RepresentationPoint.from_mapping(values)
+        missing = f"no value for arrow {P2.quiver.arrows[0].id!r}"
+        with pytest.raises(PointError, match=missing):
+            stability_report(P2.quiver, p, Character((-1, 0, 1)))
+        with pytest.raises(PointError, match=missing):
+            torus_act(P2.quiver, p, TorusElement((1, 2, 3)))
+
     def test_zero_point_unstable(self):
         p = zero_point(P2.quiver)
         chi = Character((-1, 0, 1))
@@ -307,6 +321,10 @@ class TestCertificates:
         q = get_entry("p2-helix").quiver  # gg not carried to the total space
         with pytest.raises(QuiverError):
             certify_good(q, zero_weights(3))
+
+    def test_weight_matrix_size_mismatch(self):
+        with pytest.raises(ValueError, match="weight matrix size 2 != n = 3"):
+            certify_good(P2.quiver, zero_weights(2))
 
     def test_certified_good_implies_sampled_semistability(self):
         rng = random.Random(29)
