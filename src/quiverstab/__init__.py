@@ -12,6 +12,7 @@ import importlib
 _EXPORTS = {
     "quiver": (
         "Arrow",
+        "DomainError",
         "GradingCertificate",
         "Path",
         "Quiver",

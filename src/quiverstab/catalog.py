@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 from .quiver import (
     Arrow,
+    DomainError,
     Quiver,
     QuiverError,
     Record,
@@ -33,7 +34,7 @@ class UnknownEntryError(KeyError):
     """No catalog entry with the requested name."""
 
 
-class IrrelevantLocusError(ValueError):
+class IrrelevantLocusError(DomainError):
     """Coordinates land on the irrelevant locus of the toric variety."""
 
 

@@ -1,7 +1,9 @@
 """Command-line front end, on the standard library's ``argparse``.
 
-Exit codes: 0 on success, 1 on domain errors (e.g. a point violating the
-relations under --strict), 2 on input or parse errors.  An error prints one
+Exit codes: 0 on success, 1 on a ``quiver.DomainError`` (e.g. a point
+violating the relations under --strict), 2 on any other ``ValueError``,
+which marks input or parse errors.  ``_run`` alone maps an error to its
+code; a command raises and never catches.  An error prints one
 ``Error: <message>`` line to stderr, last, with no traceback; input and
 parse errors print the command's usage before it.  Reports are
 deterministic for a fixed seed.
@@ -20,12 +22,8 @@ from . import quiver as qv
 CATALOG_ENV = "QUIVERSTAB_CATALOG"
 
 
-class UsageError(Exception):
-    """Bad input: exit 2, after the command's usage."""
-
-
-class DomainError(Exception):
-    """Well-formed input that the mathematics rejects: exit 1."""
+class UsageError(ValueError):
+    """Bad input found by the command line itself: exit 2, after the usage."""
 
 
 def _read_json(path, what: str, build):
@@ -115,10 +113,7 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
         if not entries:
             raise UsageError("give --n when no weight entries are supplied")
         n = max(max(pair) for pair in entries)
-    try:
-        return st.WeightMatrix.from_entries(n, entries)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return st.WeightMatrix.from_entries(n, entries)
 
 
 def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
@@ -138,12 +133,7 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
         raise UsageError("--taut needs a catalog --example with coordinate data")
     from . import catalog as cat
 
-    try:
-        return cat.tautological_point(entry, taut.split(":"), fiber)
-    except cat.IrrelevantLocusError as exc:
-        raise DomainError(str(exc))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return cat.tautological_point(entry, taut.split(":"), fiber)
 
 
 def _emit(result: dict, text_lines: list[str], fmt: str):
@@ -277,11 +267,8 @@ def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, stri
     p = _load_point(q, entry, point_path, taut, fiber)
     ok = pts.satisfies_relations(q, p)
     if strict and not ok:
-        raise DomainError("point does not satisfy the quiver relations")
-    try:
-        report = st.stability_report(q, p, character)
-    except st.EnumerationCapError as exc:
-        raise DomainError(str(exc))
+        raise qv.DomainError("point does not satisfy the quiver relations")
+    report = st.stability_report(q, p, character)
     result = report.to_dict()
     result["satisfies_relations"] = ok
     verdict = "stable" if report.stable else ("semistable" if report.semistable else "unstable")
@@ -351,10 +338,7 @@ def character_cmd(m_entries, m_file, size, spiral, fmt):
     if spiral:
         from . import helix as hx
 
-        try:
-            character = hx.theorem43_character(m)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        character = hx.theorem43_character(m)
     else:
         from . import stability as st
 
@@ -374,11 +358,8 @@ def supports_cmd(example, quiver_path, point_path, taut, fiber, strict, fmt):
     p = _load_point(q, entry, point_path, taut, fiber)
     ok = pts.satisfies_relations(q, p)
     if strict and not ok:
-        raise DomainError("point does not satisfy the quiver relations")
-    try:
-        fam = st.subrep_supports(q, p, warn=False)
-    except st.EnumerationCapError as exc:
-        raise DomainError(str(exc))
+        raise qv.DomainError("point does not satisfy the quiver relations")
+    fam = st.subrep_supports(q, p, warn=False)
     sets = [sorted(s) for s in fam.sorted_supports()]
     _emit(
         {"supports": sets, "count": len(sets), "satisfies_relations": ok},
@@ -394,10 +375,7 @@ def cone_cmd(example, quiver_path, point_path, taut, fiber, fmt):
 
     q, entry = _load_quiver(example, quiver_path)
     p = _load_point(q, entry, point_path, taut, fiber)
-    try:
-        cone = st.stability_cone(st.subrep_supports(q, p, warn=False))
-    except st.EnumerationCapError as exc:
-        raise DomainError(str(exc))
+    cone = st.stability_cone(st.subrep_supports(q, p, warn=False))
     lines = [f"{list(v)} . chi <= 0" for v in cone.inequalities]
     lines.append(f"{list(cone.equality)} . chi = 0")
     _emit(cone.to_dict(), lines, fmt)
@@ -438,7 +416,7 @@ def separate_cmd(example, pairs, max_len, seed, fmt):
     from . import invariants as inv
 
     _, entry = _load_quiver(example, None)
-    if entry is None or not entry.fiber:
+    if entry is None:
         raise UsageError(f"example {example!r} has no fiber data")
     if max_len is None:
         max_len = 2 * entry.quiver.n
@@ -465,19 +443,7 @@ def extend_cmd(example, quiver_path, added_dim, labels):
 
     q, _ = _load_quiver(example, quiver_path)
     label_list = labels.split(",") if labels is not None else None
-    if label_list is not None:
-        if len(label_list) != added_dim:
-            raise UsageError(f"expected {added_dim} labels, got {len(label_list)}")
-        for label in label_list:
-            try:
-                qv.parse_monomial(label)
-            except qv.QuiverError as exc:
-                raise UsageError(f"bad label {label!r}: {exc}")
-    try:
-        extended = hx.extend_spiral(q, added_dim, labels=label_list)
-    except qv.QuiverError as exc:
-        raise DomainError(str(exc))
-    print(qv.quiver_to_json(extended))
+    print(qv.quiver_to_json(hx.extend_spiral(q, added_dim, labels=label_list)))
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -495,6 +461,8 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def _run(args: list[str]) -> None:
+    """Parse ``args`` and run the command, mapping its error to an exit code
+    (see the module docstring)."""
     if not args:
         _PARSER.print_help(sys.stderr)
         raise SystemExit(2)
@@ -506,11 +474,11 @@ def _run(args: list[str]) -> None:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         run(**options)
-    except UsageError as exc:
-        parser.error(str(exc))
-    except DomainError as exc:
+    except qv.DomainError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         raise SystemExit(1)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from typing import Sequence
 
 from .quiver import (
     Arrow,
+    DomainError,
     Quiver,
     QuiverError,
     Record,
@@ -27,9 +28,9 @@ def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None
     The new arrows all have path-algebra degree 1 - n + n = 1, so the grading
     certificate survives the extension.  When every arrow of the extended
     quiver carries a label, the binomial relations are derived again for it.
+    Bad arguments or labels raise ``QuiverError``, checked before a
+    non-chain quiver raises ``DomainError``.
     """
-    if not is_chain(q):
-        raise QuiverError("spiral extension needs a chain quiver")
     if added_dim < 1:
         raise QuiverError("added_dim must be at least 1")
     if labels is not None and len(labels) != added_dim:
@@ -44,6 +45,8 @@ def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None
         )
         for k in range(added_dim)
     )
+    if not is_chain(q):
+        raise DomainError("spiral extension needs a chain quiver")
     extended = Quiver(
         n=q.n,
         arrows=q.arrows + added,

@@ -24,6 +24,11 @@ class QuiverError(ValueError):
     """Quiver data violates a structural invariant."""
 
 
+class DomainError(ValueError):
+    """Well-formed input that the mathematics rejects, such as coordinates on
+    the irrelevant locus; any other ``ValueError`` marks malformed input."""
+
+
 # ---------------------------------------------------------------------------
 # monomial labels
 # ---------------------------------------------------------------------------
@@ -39,7 +44,7 @@ def parse_monomial(text: str) -> dict[str, int]:
     for term in text.split("*"):
         m = _TERM_RE.match(term.strip())
         if m is None:
-            raise QuiverError(f"malformed monomial term {term!r}")
+            raise QuiverError(f"malformed monomial {text!r}: bad term {term!r}")
         var, exp = m.group(1), int(m.group(2) or "1")
         exps[var] = exps.get(var, 0) + exp
     return exps
@@ -280,9 +285,8 @@ class Quiver(Record):
     Picard-lattice degree of each bundle and ``canonical`` the degree of the
     canonical bundle, when known.
 
-    Construction indexes the arrows once: by id, by source in id order, and
-    by the nodes each source reaches along a path of length >= 1.  Only
-    arrow sources get entries, so the cost follows the arrows, not ``n``.
+    Construction indexes the arrows once: by id and by source in id order.
+    Only arrow sources get entries, so the cost follows the arrows, not ``n``.
 
     ``n``, ``pic`` and ``canonical`` follow ``as_int``; ``gg`` entries must
     be booleans.
@@ -327,8 +331,11 @@ class Quiver(Record):
             by_id[a.id] = a
             out.setdefault(a.source, []).append(a)
         out = {v: tuple(out[v]) for v in sorted(out)}
-        reach = {v: _reachable(lambda u: [a.target for a in out.get(u, ())], v) for v in out}
-        self.__dict__.update(_by_id=by_id, _out=out, _reach=reach)
+        self.__dict__.update(_by_id=by_id, _out=out)
+
+    def _reach(self, node: int) -> frozenset[int]:
+        """The nodes reached from ``node`` along a path of length >= 1."""
+        return _reachable(lambda u: [a.target for a in self.outgoing(u)], node)
 
     def _validate(self):
         for rel in self.relations:
@@ -339,9 +346,11 @@ class Quiver(Record):
         if self.gg is not None:
             if len(self.gg) != self.n or any(len(row) != self.n for row in self.gg):
                 raise QuiverError("gg table must be n x n")
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
-                    if i != j and self.gg[i - 1][j - 1] and not self.has_path(j, i):
+            for j in range(1, self.n + 1):
+                column = [i for i in range(1, self.n + 1) if i != j and self.gg[i - 1][j - 1]]
+                reach = self._reach(j) if column else ()
+                for i in column:
+                    if i not in reach:
                         raise QuiverError(
                             f"gg[{i}][{j}] set but Hom(E_{i},E_{j}) has no paths"
                         )
@@ -366,12 +375,9 @@ class Quiver(Record):
         """Arrows with source ``node``, in id order."""
         return self._out.get(node, ())
 
-    def has_path(self, src: int, dst: int) -> bool:
-        """True iff a path of length >= 1 from src to dst exists."""
-        return dst in self._reach.get(src, ())
-
     def has_cycle(self) -> bool:
-        return any(v in reach for v, reach in self._reach.items())
+        """True iff some path of length >= 1 returns to its source."""
+        return any(v in self._reach(v) for v in self._out)
 
     def globally_generated(self, i: int, j: int) -> bool:
         if self.gg is None:

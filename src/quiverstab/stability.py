@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Iterable
 
-from .quiver import Quiver, QuiverError, Record, _reachable, as_int
+from .quiver import DomainError, Quiver, QuiverError, Record, _reachable, as_int
 
 if TYPE_CHECKING:
     from .points import RepresentationPoint
@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 ENUMERATION_CAP = 20
 
 
-class EnumerationCapError(ValueError):
+class EnumerationCapError(DomainError):
     """Subset enumeration was requested for more than ENUMERATION_CAP nodes."""
 
 

@@ -1,6 +1,7 @@
 """In-process runs of the command line, for the CLI and golden tests; the
-all-paths walk the oracles of the catalog and cycle tests are built on; and
-the all-zero point and weight matrix."""
+all-paths walk the oracles of the catalog and cycle tests are built on; a
+reachability oracle over the arrow list; and the all-zero point and weight
+matrix."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -80,6 +81,21 @@ def enumerate_paths(q: Quiver, src: int, dst: int, max_len: int) -> list[Path]:
 
     walk(src, ())
     return out
+
+
+def bfs_has_path(q, src, dst):
+    """Oracle: a breadth-first search over the arrow list on every call."""
+    frontier = [a.target for a in q.arrows if a.source == src]
+    seen: set[int] = set()
+    while frontier:
+        v = frontier.pop()
+        if v == dst:
+            return True
+        if v in seen:
+            continue
+        seen.add(v)
+        frontier.extend(a.target for a in q.arrows if a.source == v)
+    return False
 
 
 def zero_point(q: Quiver) -> RepresentationPoint:

@@ -393,6 +393,11 @@ class TestCanonicalGeometricForm:
         # the fiber coordinate scales by the canonical degree of the pivot
         assert fiber == 5 * Fraction(2) ** 3
 
+    def test_no_unit_degree_pivot(self):
+        # t4 = 0 is off the irrelevant locus but leaves torus factor 1 no pivot
+        with pytest.raises(ValueError, match="f1: no unit-degree pivot for torus factor 1"):
+            canonical_geometric_form(get_entry("f1"), [1, 1, 1, 0])
+
     def test_scaling_invariance(self):
         entry = get_entry("p1xp1-spiral")
         rng = random.Random(61)

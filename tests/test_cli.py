@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -486,6 +487,30 @@ class TestSupportsAndCone:
         assert "[1, 1, 1] . chi = 0" in result.output
 
 
+class TestEnumerationCap:
+    """A quiver past the subset-enumeration cap is a domain error: exit 1."""
+
+    @pytest.fixture
+    def chain21(self, tmp_path):
+        arrows = [{"id": f"a{k}", "source": k + 1, "target": k} for k in range(1, 21)]
+        quiver = tmp_path / "chain21.json"
+        quiver.write_text(json.dumps({"n": 21, "arrows": arrows}))
+        point = tmp_path / "p.json"
+        point.write_text(json.dumps({"values": {a["id"]: 1 for a in arrows}}))
+        return ["--quiver", str(quiver), "--point", str(point)]
+
+    @pytest.mark.parametrize(
+        "command", [["check", "--chi=-1" + ",0" * 19 + ",1"], ["supports"], ["cone"]]
+    )
+    def test_exits_1(self, runner, chain21, command):
+        result = runner.invoke(main, [*command, *chain21])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == (
+            "Error: subset enumeration over 21 nodes exceeds the cap of 20"
+        )
+
+
 class TestCyclesAndSeparate:
     def test_cycles_on_chain_empty(self, runner):
         result = runner.invoke(main, ["cycles", "--example", "p2", "--format", "json"])
@@ -578,6 +603,34 @@ class TestExtendCommand:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.output.splitlines()[-1].startswith("Error: ")
+
+    def test_malformed_label_is_named_before_the_chain_test(self, runner):
+        # f1 is no chain, but the label is checked first: exit 2, not 1
+        result = runner.invoke(
+            main, ["extend", "--example", "f1", "--added-dim", "1", "--labels", "x*"]
+        )
+        assert result.exit_code == 2
+        last = result.output.splitlines()[-1]
+        assert last.startswith("Error: ") and "'x*'" in last
+
+
+def test_exit_codes_are_decided_in_run_alone():
+    """No command catches an error to pick its exit code, and ``cli.py``
+    defines no ``DomainError`` of its own: ``_run`` maps the library's
+    ``quiver.DomainError`` to 1 and any other ``ValueError`` to 2."""
+    import inspect
+
+    import quiverstab.cli as cli
+
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+
+    def catches(run) -> bool:
+        return any(isinstance(n, tries) for n in ast.walk(ast.parse(inspect.getsource(run))))
+
+    commands = cli._COMMANDS.choices
+    assert [name for name, sub in commands.items() if catches(sub.get_default("run"))] == []
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert "DomainError" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
 
 
 class TestParserParity:

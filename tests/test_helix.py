@@ -15,6 +15,7 @@ from quiverstab.helix import (
 from quiverstab.points import RepresentationPoint, satisfies_relations
 from quiverstab.quiver import (
     Arrow,
+    DomainError,
     Quiver,
     QuiverError,
     arrow_degree,
@@ -60,8 +61,14 @@ class TestExtendSpiral:
         assert arrow_degree(q, h) == 1
 
     def test_non_chain_rejected(self):
-        with pytest.raises(QuiverError):
+        with pytest.raises(DomainError):
             extend_spiral(get_entry("f1").quiver, 1)
+
+    @pytest.mark.parametrize("added_dim,labels", [(0, None), (2, ("x0",)), (1, ("x*",))])
+    def test_bad_arguments_are_checked_before_the_chain(self, added_dim, labels):
+        with pytest.raises(QuiverError) as info:
+            extend_spiral(get_entry("f1").quiver, added_dim, labels=labels)
+        assert not isinstance(info.value, DomainError)
 
     def test_gg_not_carried(self):
         q = extend_spiral(P2.quiver, 3, labels=("x0", "x1", "x2"))

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import enumerate_paths
+from conftest import bfs_has_path, enumerate_paths
 
 from quiverstab import quiver
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
@@ -495,21 +495,6 @@ class TestCostFollowsArrows:
         assert lines < 1000
 
 
-def bfs_has_path(q, src, dst):
-    """Oracle: a breadth-first search over the arrow list on every call."""
-    frontier = [a.target for a in q.arrows if a.source == src]
-    seen: set[int] = set()
-    while frontier:
-        v = frontier.pop()
-        if v == dst:
-            return True
-        if v in seen:
-            continue
-        seen.add(v)
-        frontier.extend(a.target for a in q.arrows if a.source == v)
-    return False
-
-
 def sorted_outgoing(q, node):
     """Oracle: the arrows out of a node, sorted by id on every call."""
     return sorted((a for a in q.arrows if a.source == node), key=lambda a: a.id)
@@ -533,8 +518,7 @@ class TestIndices:
             assert q.arrow(a.id) is a
         for v in range(q.n + 2):  # nodes 0 and n + 1 are out of range
             assert list(q.outgoing(v)) == sorted_outgoing(q, v)
-            for w in range(q.n + 2):
-                assert q.has_path(v, w) == bfs_has_path(q, v, w)
+            assert q._reach(v) == {w for w in range(q.n + 2) if bfs_has_path(q, v, w)}
         assert q.has_cycle() == any(bfs_has_path(q, v, v) for v in range(1, q.n + 1))
 
     @pytest.mark.parametrize(
@@ -547,6 +531,15 @@ class TestIndices:
         rng = random.Random(41)
         for _ in range(300):
             self._check(_random_quiver(rng))
+
+    def test_long_chain_builds_without_a_walk(self, monkeypatch):
+        def refuse(successors, start):
+            raise AssertionError("construction walked the quiver")
+
+        monkeypatch.setattr(quiver, "_reachable", refuse)
+        n = 10**4
+        q = Quiver(n=n, arrows=tuple(Arrow(f"a{k}", k + 1, k) for k in range(1, n)))
+        assert len(q.outgoing(n)) == 1
 
     def test_unknown_arrow(self):
         with pytest.raises(QuiverError):

@@ -82,7 +82,7 @@ TYPES = list(RECORDS)
 # Indexes built at construction: not fields, so outside equality, hash and repr.
 CACHES = {
     Arrow: {"_exponents"},
-    Quiver: {"_by_id", "_out", "_reach"},
+    Quiver: {"_by_id", "_out"},
     RepresentationPoint: {"_by_id"},
 }
 

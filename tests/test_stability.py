@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import zero_point, zero_weights
+from conftest import bfs_has_path, zero_point, zero_weights
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
 from quiverstab.points import PointError, RepresentationPoint, TorusElement, torus_act
@@ -363,7 +363,7 @@ def great_by_closure(q, m):
     reach = {(u, v): u == v for u in nodes for v in nodes}
     for i in nodes:
         for j in nodes:
-            if i != j and q.gg[i - 1][j - 1] and q.has_path(j, i):
+            if i != j and q.gg[i - 1][j - 1] and bfs_has_path(q, j, i):
                 reach[j, i] = True
             if i != j and m.entry(i, j) > 0:
                 reach[i, j] = True
