@@ -1,89 +1,15 @@
-"""Exact-arithmetic toolkit for quivers of line bundles: King stability,
-good/great character certificates, torus-invariant cycle functions, and
-spiral/helix quiver extensions, with built-in toric example data.
+"""Exact-arithmetic toolkit for quivers of line bundles.  Each name lives
+in one module and is imported from there, e.g.
+``from quiverstab.stability import stability_report``; ``import quiverstab``
+loads none of them.
 
-Importing the package loads none of its modules: each exported name, and
-each module as ``quiverstab.<module>``, is imported on first use (PEP 562),
-so a command-line process pays only for the modules its command runs.
+- ``quiver``: arrows, paths, quivers, binomial relations, grading
+  certificates, JSON round trips and the library's two error bases.
+- ``points``: representation points, the torus action, path evaluation.
+- ``stability``: King (semi)stability, supports, the stability cone and
+  good/great character certificates.
+- ``invariants``: cycle enumeration and the generic-separation experiment.
+- ``helix``: spiral extension of chain quivers and Picard-degree checks.
+- ``catalog``: the built-in toric examples and their tautological points.
+- ``cli``: the ``quiverstab`` command line.
 """
-
-import importlib
-
-_EXPORTS = {
-    "quiver": (
-        "Arrow",
-        "DomainError",
-        "GradingCertificate",
-        "Path",
-        "Quiver",
-        "QuiverError",
-        "Relation",
-        "arrow_degree",
-        "derive_binomial_relations",
-        "grading_certificate",
-        "quiver_from_json",
-        "quiver_to_json",
-    ),
-    "points": (
-        "PointError",
-        "RepresentationPoint",
-        "TorusElement",
-        "evaluate_path",
-        "satisfies_relations",
-        "torus_act",
-        "vanishing_pattern",
-    ),
-    "stability": (
-        "Character",
-        "EnumerationCapError",
-        "GoodCertificate",
-        "GreatCertificate",
-        "StabilityCone",
-        "SupportFamily",
-        "WeightMatrix",
-        "certify_good",
-        "certify_great",
-        "character_from_weights",
-        "stability_cone",
-        "stability_report",
-        "subrep_supports",
-        "supports_from_generators",
-    ),
-    "invariants": (
-        "SeparationReport",
-        "enumerate_cycles",
-        "invariant_vector",
-        "separation_experiment",
-    ),
-    "helix": (
-        "check_prop41_degrees",
-        "e_chi_degree",
-        "extend_spiral",
-        "theorem43_character",
-    ),
-    "catalog": (
-        "CatalogEntry",
-        "IrrelevantLocusError",
-        "UnknownEntryError",
-        "entry_names",
-        "get_entry",
-        "tautological_point",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted([*_EXPORTS, *_HOME])
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -356,15 +356,21 @@ def tautological_point(
     if not entry.fiber and fiber_value is not None:
         raise ValueError(f"{entry.name}: entry has no fiber coordinate")
     fiber = as_fraction(fiber_value) if fiber_value is not None else None
-    out = {}
-    for a in entry.quiver.arrows:
-        v = Fraction(1)
-        for var, e in a.label_exponents().items():
-            v *= vals[var] ** e
-        if a.weight:
-            v *= fiber ** a.weight
-        out[a.id] = v
+    out = {
+        a.id: _monomial_value(vals, a.label_exponents().items(), a.weight, fiber)
+        for a in entry.quiver.arrows
+    }
     return RepresentationPoint.for_quiver(entry.quiver, out)
+
+
+def _monomial_value(coords, exponents, weight: int, fiber) -> Fraction:
+    """``prod(coords[var] ** e for var, e in exponents) * fiber ** weight``."""
+    v = Fraction(1)
+    for var, e in exponents:
+        v *= coords[var] ** e
+    if weight:
+        v *= fiber**weight
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,8 @@ def _load_point(q, entry, point_path, taut, fiber) -> pts.RepresentationPoint:
     if (point_path is None) == (taut is None):
         raise UsageError("give exactly one of --point or --taut")
     if point_path is not None:
+        if fiber is not None:
+            raise UsageError("--fiber goes with --taut, not --point")
         from . import points as pts
 
         def point(data):

@@ -3,6 +3,7 @@ bookkeeping for the line-bundle data attached to a catalog entry."""
 
 from __future__ import annotations
 
+from itertools import count, islice
 from typing import Sequence
 
 from .quiver import (
@@ -28,6 +29,7 @@ def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None
     The new arrows all have path-algebra degree 1 - n + n = 1, so the grading
     certificate survives the extension.  When every arrow of the extended
     quiver carries a label, the binomial relations are derived again for it.
+    The added arrows take the first ids ``h1, h2, ...`` not already in use.
     Bad arguments or labels raise ``QuiverError``, checked before a
     non-chain quiver raises ``DomainError``.
     """
@@ -35,15 +37,11 @@ def extend_spiral(q: Quiver, added_dim: int, labels: Sequence[str] | None = None
         raise QuiverError("added_dim must be at least 1")
     if labels is not None and len(labels) != added_dim:
         raise QuiverError(f"expected {added_dim} labels, got {len(labels)}")
+    used = {a.id for a in q.arrows}
+    ids = islice((f"h{k}" for k in count(1) if f"h{k}" not in used), added_dim)
     added = tuple(
-        Arrow(
-            id=f"h{k + 1}",
-            source=1,
-            target=q.n,
-            weight=1,
-            label=labels[k] if labels is not None else None,
-        )
-        for k in range(added_dim)
+        Arrow(id_, 1, q.n, weight=1, label=None if labels is None else labels[k])
+        for k, id_ in enumerate(ids)
     )
     if not is_chain(q):
         raise DomainError("spiral extension needs a chain quiver")

@@ -67,17 +67,6 @@ def _tautological_functions(cycles: list[Path]):
     return sorted({(monomial_key(c.label_exponents()), c.total_weight) for c in cycles})
 
 
-def _tautological_values(functions, names, cox, fiber) -> tuple[Fraction, ...]:
-    coords = dict(zip(names, cox))
-    values = []
-    for exponents, weight in functions:
-        v = fiber**weight
-        for var, e in exponents:
-            v *= coords[var] ** e
-        values.append(v)
-    return tuple(values)
-
-
 class SeparationReport(Record):
     _fields = ("cycles", "pairs", "separated", "collisions")
 
@@ -111,6 +100,11 @@ def separation_experiment(
         raise ValueError(f"entry {entry.name!r} has no fiber data")
     cycles = enumerate_cycles(entry.quiver, max_len)
     functions = _tautological_functions(cycles)
+
+    def values(cox, fiber) -> tuple[Fraction, ...]:
+        coords = dict(zip(entry.var_names, cox))
+        return tuple(catalog._monomial_value(coords, e, w, fiber) for e, w in functions)
+
     rng = random.Random(seed)
     separated = 0
     pairs = 0
@@ -123,9 +117,7 @@ def separation_experiment(
         ):
             continue
         pairs += 1
-        if _tautological_values(functions, entry.var_names, cox1, lam1) != (
-            _tautological_values(functions, entry.var_names, cox2, lam2)
-        ):
+        if values(cox1, lam1) != values(cox2, lam2):
             separated += 1
         else:
             collisions.append(

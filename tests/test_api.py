@@ -6,9 +6,14 @@ or ``perfbench/`` outside its own definition.  The match is by name only,
 so a method that shares its name with an attribute used elsewhere passes
 unseen.  Dunders, the commands that ``cli._command`` registers, and the
 names on ``DOCUMENTED`` are exempt.
+
+The other way round, every name that ``perfbench/`` reads off a library
+module must exist, so a removal the benchmark depends on fails here, in a
+fast test, rather than only in the benchmark's own self-test.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +85,46 @@ def test_every_public_name_has_a_caller():
 
 def test_documented_names_are_defined_and_uncalled():
     assert set(DOCUMENTED) <= set(uncalled())
+
+
+def perfbench_reads() -> dict[str, set[str]]:
+    """Module -> the dotted names that ``perfbench/`` reads off it through
+    ``from quiverstab import <module> as <alias>``, e.g. ``get_entry.cache_clear``."""
+    reads: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "quiverstab" and not node.level
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if chain and isinstance(base, ast.Name) and base.id in modules:
+                reads.setdefault(modules[base.id], set()).add(".".join(reversed(chain)))
+    return reads
+
+
+def _resolves(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_perfbench_reads_only_names_the_library_defines():
+    reads = perfbench_reads()
+    assert "get_entry.cache_clear" in reads["catalog"]
+    assert {"subrep_supports", "supports_from_generators"} <= reads["stability"]
+    missing = [
+        f"{module}.{dotted}"
+        for module, names in sorted(reads.items())
+        for dotted in sorted(names)
+        if not _resolves(importlib.import_module(f"quiverstab.{module}"), dotted)
+    ]
+    assert missing == []

@@ -100,6 +100,18 @@ def test_closed_stdout_exits_1_without_traceback(args):
     assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
 
 
+@pytest.mark.parametrize("command", [["check", "--chi=-1,0,1"], ["supports"], ["cone"]])
+def test_fiber_with_point_exits_2(runner, tmp_path, command):
+    point = tmp_path / "pt.json"
+    point.write_text(json.dumps({"values": P2_VALUES}))
+    result = runner.invoke(
+        main, [*command, "--example", "p2", "--point", str(point), "--fiber", "2"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == "Error: --fiber goes with --taut, not --point"
+
+
 class TestCheckCommand:
     def test_p2_taut_stable(self, runner):
         result = runner.invoke(
@@ -603,6 +615,17 @@ class TestExtendCommand:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.output.splitlines()[-1].startswith("Error: ")
+
+    def test_chain_file_with_an_h1_arrow(self, runner, tmp_path):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"n": 2, "arrows": [{"id": "h1", "source": 2, "target": 1}]}))
+        result = runner.invoke(main, ["extend", "--quiver", str(chain), "--added-dim", "1"])
+        assert result.exit_code == 0, result.output
+        arrows = quiver_from_json(result.output).arrows
+        assert [(a.id, a.source, a.target, a.weight) for a in arrows] == [
+            ("h1", 2, 1, 0),
+            ("h2", 1, 2, 1),
+        ]
 
     def test_malformed_label_is_named_before_the_chain_test(self, runner):
         # f1 is no chain, but the label is checked first: exit 2, not 1

@@ -60,6 +60,17 @@ class TestExtendSpiral:
         assert (h.source, h.target, h.weight) == (1, 2, 1)
         assert arrow_degree(q, h) == 1
 
+    @pytest.mark.parametrize(
+        "taken,added_dim,expected",
+        [(("h1",), 1, ["h2"]), (("h2",), 2, ["h1", "h3"]), (("h1", "h3"), 2, ["h2", "h4"])],
+    )
+    def test_added_ids_skip_ids_in_use(self, taken, added_dim, expected):
+        n = len(taken) + 1
+        base = Quiver(n=n, arrows=tuple(Arrow(i, k + 2, k + 1) for k, i in enumerate(taken)))
+        q = extend_spiral(base, added_dim)
+        assert [a.id for a in q.arrows] == [*taken, *expected]
+        assert all(q.arrow(i).weight == 1 for i in expected)
+
     def test_non_chain_rejected(self):
         with pytest.raises(DomainError):
             extend_spiral(get_entry("f1").quiver, 1)

@@ -5,14 +5,12 @@ nothing outside the standard library, and neither ``dataclasses`` nor the
 test process has long since imported everything."""
 
 import functools
-import importlib
 import json
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
 
 import pytest
 
@@ -152,21 +150,6 @@ def test_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
-
-
-def test_exported_names_resolve_to_their_home_objects():
-    for name in quiverstab.__all__:
-        value = getattr(quiverstab, name)
-        if isinstance(value, ModuleType):
-            assert value is importlib.import_module(f"quiverstab.{name}")
-        else:
-            home = importlib.import_module(value.__module__)
-            assert home.__name__.startswith("quiverstab.")
-            assert getattr(home, name) is value, name
-    namespace: dict = {}
-    exec("from quiverstab import *", namespace)
-    assert all(namespace[name] is getattr(quiverstab, name) for name in quiverstab.__all__)
-    assert set(quiverstab.__all__) <= set(dir(quiverstab))
 
 
 def test_unknown_attribute_raises():
