@@ -2,11 +2,11 @@
 surfaces and projective spaces, with homogeneous-coordinate labels and
 tautological-point constructors.
 
-Entry data (arrow multiplicities, gg tables, Picard degrees, anticanonical
-classes) is fixed input, validated at build time against the monomial labels:
-every label must be a monomial of degree pic(source) - pic(target) minus
-weight times the canonical class, and the distinct path products between two
-nodes must span a space of the full Hom dimension.
+An entry is its Cox data: Cox variables with their degrees, the Picard
+degrees of the collection, the irrelevant locus and a gg table, which is
+fixed input.  Its quiver of sections, canonical class and spiral labels are
+derived from the Cox data, and at build time the distinct path products
+between two nodes must span a space of the full Hom dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from operator import le
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .quiver import (
     Arrow,
@@ -28,6 +29,9 @@ from .quiver import (
     _fiber_relations,
     as_fraction,
 )
+
+if TYPE_CHECKING:
+    from .points import RepresentationPoint
 
 
 class UnknownEntryError(KeyError):
@@ -113,26 +117,17 @@ def monomials_of_degree(
 
 
 class _Spec(Record):
-    """The fixed data of one entry.
+    """The Cox data of one entry, from which the builder derives its quiver.
 
-    ``levels`` lists ``(source, target, labels)``, one weight-zero arrow
-    ``a{source}{target}_{k}`` per label; ``gg`` holds the off-diagonal pairs
-    ``(i, j)`` whose Hom sheaf is generated by global sections, or None for
-    no gg table; ``spiral`` labels the weight-1 arrows that extend the
-    weight-zero chain over the total space of the canonical bundle.
+    ``variables`` pairs each Cox variable with its multidegree, ``pic``
+    lists the Picard degrees of the collection and ``forbidden`` the
+    irrelevant locus; ``gg`` holds the off-diagonal pairs ``(i, j)`` whose
+    Hom sheaf is generated by global sections, or None for no gg table;
+    ``fiber`` marks an entry on the total space of the canonical bundle.
     """
 
-    _fields = (
-        "description",
-        "variables",
-        "levels",
-        "pic",
-        "canonical",
-        "forbidden",
-        "gg",
-        "spiral",
-    )
-    _defaults = {"gg": None, "spiral": None}
+    _fields = ("description", "variables", "pic", "forbidden", "gg", "fiber")
+    _defaults = {"gg": None, "fiber": False}
 
 
 def _pn(dim: int) -> _Spec:
@@ -142,9 +137,7 @@ def _pn(dim: int) -> _Spec:
     return _Spec(
         description=f"O..O({dim}) on P^{dim}",
         variables=tuple((x, (1,)) for x in xs),
-        levels=tuple((s, s - 1, xs) for s in range(n, 1, -1)),
         pic=tuple((k,) for k in range(n)),
-        canonical=(-n,),
         forbidden=(frozenset(xs),),
         gg=frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
     )
@@ -161,43 +154,26 @@ _SPECS = {
     "f1": _Spec(
         description="O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
         variables=(("t1", (1, -1)), ("t2", (0, 1)), ("t3", (1, -1)), ("t4", (1, 0))),
-        levels=(
-            (2, 1, ("t2",)),
-            (3, 1, ("t4",)),
-            (3, 2, ("t1", "t3")),
-            (4, 3, ("t4", "t1*t2", "t3*t2")),
-        ),
         pic=((0, 0), (0, 1), (1, 0), (2, 0)),
-        canonical=(-3, 1),
         forbidden=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
         gg=frozenset({(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}),
     ),
     "p1xp1": _Spec(
         description="O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
         variables=_P1XP1_VARIABLES,
-        levels=(
-            (2, 1, ("y1", "y2")),
-            (3, 1, ("x1", "x2")),
-            (4, 2, ("x1", "x2")),
-            (4, 3, ("y1", "y2")),
-        ),
         pic=((0, 0), (0, 1), (1, 0), (1, 1)),
-        canonical=(-2, -2),
         forbidden=_P1XP1_FORBIDDEN,
         gg=frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}),
     ),
     "p2-helix": _pn(2).replace(
-        description="helix extension of the P^2 chain on tot(K)",
-        spiral=("x0", "x1", "x2"),
+        description="helix extension of the P^2 chain on tot(K)", fiber=True
     ),
     "p1xp1-spiral": _Spec(
         description="spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
         variables=_P1XP1_VARIABLES,
-        levels=((2, 1, ("x1", "x2")), (3, 2, ("y1", "y2")), (4, 3, ("x1", "x2"))),
         pic=((0, 0), (1, 0), (1, 1), (2, 1)),
-        canonical=(-2, -2),
         forbidden=_P1XP1_FORBIDDEN,
-        spiral=("y1", "y2"),
+        fiber=True,
     ),
 }
 _PN_DESCRIPTION = "O..O(k) on P^k, any k >= 1"
@@ -206,86 +182,94 @@ TEMPLATES = {"pn(k)": "pn(3)"}
 _PN_RE = re.compile(r"pn\((\d+)\)$")
 
 
-def _weight_zero_quiver(spec: _Spec) -> Quiver:
+def _sections(spec: _Spec) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """``(j, i)`` -> the exponent vectors of the monomials of degree
+    pic(E_j) - pic(E_i), a basis of Hom(E_i, E_j), for all nodes i != j."""
+    degrees = [d for _, d in spec.variables]
+    return {
+        (j, i): monomials_of_degree(degrees, tuple(a - b for a, b in zip(pic_j, pic_i)))
+        for j, pic_j in enumerate(spec.pic, 1)
+        for i, pic_i in enumerate(spec.pic, 1)
+        if i != j
+    }
+
+
+def _labels(spec: _Spec, monomials: Sequence[tuple[int, ...]]) -> list[str]:
+    """Monomials by total degree, then by exponent vector descending, each
+    written in variable order as ``v`` or ``v^e`` joined by ``*``."""
+    names = [v for v, _ in spec.variables]
+    return [
+        "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+        for exps in sorted(sorted(monomials, reverse=True), key=sum)
+    ]
+
+
+def _weight_zero_quiver(spec: _Spec, sections) -> Quiver:
+    """The quiver of sections: for nodes ``t < s``, the arrows ``s -> t``
+    are the sections of pic(E_s) - pic(E_t) that no label of an arrow
+    ``k -> t`` with ``t < k < s`` divides, i.e. that factor through no node
+    between them; taking ``s`` upward derives those arrows first.  The
+    canonical class is minus the sum of the Cox degrees."""
     n = len(spec.pic)
+    into: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(1, n + 1)}
+    arrows = []
+    for s in range(2, n + 1):
+        for t in range(1, s):
+            level = sections[s, t]
+            for d in into[t]:
+                level = [e for e in level if not all(map(le, d, e))]
+            into[t] += level
+            labels = enumerate(_labels(spec, level), 1)
+            arrows += (Arrow(f"a{s}{t}_{k}", s, t, label=label) for k, label in labels)
     gg = None
     if spec.gg is not None:
         gg = tuple(
             tuple(i == j or (i, j) in spec.gg for j in range(1, n + 1)) for i in range(1, n + 1)
         )
-    return Quiver(
-        n=n,
-        arrows=tuple(
-            Arrow(f"a{s}{t}_{k + 1}", s, t, label=label)
-            for s, t, labels in spec.levels
-            for k, label in enumerate(labels)
-        ),
-        gg=gg,
-        pic=spec.pic,
-        canonical=spec.canonical,
-    )
+    canonical = tuple(-sum(col) for col in zip(*(d for _, d in spec.variables)))
+    return Quiver(n=n, arrows=tuple(arrows), gg=gg, pic=spec.pic, canonical=canonical)
 
 
-def _check_label_degrees(name: str, q: Quiver, variables) -> None:
-    """Every label is a monomial of degree pic(source) - pic(target) minus
-    weight times the canonical class."""
-    degree = dict(variables)
-    rank = len(q.canonical)
-    for a in q.arrows:
-        got = tuple(
-            sum(e * degree[var][k] for var, e in a.label_exponents().items()) for k in range(rank)
-        )
-        expected = tuple(
-            q.pic[a.source - 1][k] - q.pic[a.target - 1][k] - a.weight * q.canonical[k]
-            for k in range(rank)
-        )
-        if got != expected:
-            raise QuiverError(f"{name}: arrow {a.id} label degree {got} != {expected}")
-
-
-def _check_hom_dimensions(name: str, q: Quiver, fibers, variables) -> None:
+def _check_hom_dimensions(name: str, fibers, sections) -> None:
     """Distinct path products between nodes must exhaust the Hom space.
 
     On a weight-zero quiver each fiber key from j to i is one monomial of
-    degree pic(E_j) - pic(E_i), and the count of all such monomials is the
-    dimension of Hom(E_i, E_j).  Every ordered pair of distinct nodes is
-    compared, so a pair with no path must have no Hom."""
+    degree pic(E_j) - pic(E_i), as is each of ``sections[j, i]``.  Every
+    ordered pair of distinct nodes is compared, so a pair with no path must
+    have no Hom."""
     spans = Counter((j, i) for j, i, _, _ in fibers)
-    degrees = [d for _, d in variables]
-    for j in range(1, q.n + 1):
-        for i in range(1, q.n + 1):
-            if i == j:
-                continue
-            target = tuple(a - b for a, b in zip(q.pic[j - 1], q.pic[i - 1]))
-            expected = len(monomials_of_degree(degrees, target))
-            if spans[j, i] != expected:
-                raise QuiverError(
-                    f"{name}: paths {j}->{i} span {spans[j, i]} monomials, "
-                    f"Hom dimension is {expected}"
-                )
+    for (j, i), monomials in sections.items():
+        if spans[j, i] != len(monomials):
+            raise QuiverError(
+                f"{name}: paths {j}->{i} span {spans[j, i]} monomials, "
+                f"Hom dimension is {len(monomials)}"
+            )
 
 
 def _build(name: str, spec: _Spec) -> CatalogEntry:
     """The entry of a spec: its weight-zero quiver with derived relations,
-    or that quiver spiral-extended, every label checked.  One pass over the
-    fiber keys of the weight-zero quiver feeds both its relations and the
-    Hom check."""
-    base = _weight_zero_quiver(spec)
+    or that quiver spiral-extended by every monomial of the spiral degree.
+    One list of sections per node pair feeds both the arrows and the Hom
+    check, and one pass over the fiber keys of the weight-zero quiver feeds
+    both its relations and the Hom check."""
+    sections = _sections(spec)
+    base = _weight_zero_quiver(spec, sections)
     fibers = _fiber_ends(base)
-    if spec.spiral is None:
+    if not spec.fiber:
         q = base.replace(relations=tuple(_fiber_relations(base, fibers)))
     else:
-        from .helix import extend_spiral
+        from .helix import extend_spiral, spiral_degree
 
-        q = extend_spiral(base, len(spec.spiral), labels=spec.spiral)
-    _check_label_degrees(name, q, spec.variables)
-    _check_hom_dimensions(name, base, fibers, spec.variables)
+        degree = spiral_degree(base.pic, base.canonical)
+        labels = _labels(spec, monomials_of_degree([d for _, d in spec.variables], degree))
+        q = extend_spiral(base, len(labels), labels=labels)
+    _check_hom_dimensions(name, fibers, sections)
     return CatalogEntry(
         name=name,
         quiver=q,
         cox_variables=spec.variables,
         forbidden_vanishing=spec.forbidden,
-        fiber=spec.spiral is not None,
+        fiber=spec.fiber,
         description=spec.description,
     )
 

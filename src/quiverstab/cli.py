@@ -16,8 +16,13 @@ import json
 import os
 import sys
 from pathlib import Path as FsPath
+from typing import TYPE_CHECKING
 
 from . import quiver as qv
+
+if TYPE_CHECKING:
+    from . import points as pts
+    from . import stability as st
 
 CATALOG_ENV = "QUIVERSTAB_CATALOG"
 

@@ -4,7 +4,7 @@ bookkeeping for the line-bundle data attached to a catalog entry."""
 from __future__ import annotations
 
 from itertools import count, islice
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .quiver import (
     Arrow,
@@ -14,6 +14,9 @@ from .quiver import (
     Record,
     derive_binomial_relations,
 )
+
+if TYPE_CHECKING:
+    from .stability import Character, WeightMatrix
 
 PicVector = tuple[int, ...]
 
@@ -87,6 +90,12 @@ def e_chi_degree(chi: Character, pic: Sequence[PicVector]) -> PicVector:
     return tuple(out)
 
 
+def spiral_degree(pic: Sequence[PicVector], canonical: PicVector) -> PicVector:
+    """pic(E_1) - pic(E_n) - canonical: the degree of a weight-1 arrow from
+    node 1 to node n on the total space of the canonical bundle."""
+    return tuple(a - b - c for a, b, c in zip(pic[0], pic[-1], canonical))
+
+
 class DegreeCheck(Record):
     """Degree-level consistency of a weight matrix with the spiral line bundle.
 
@@ -114,7 +123,5 @@ def check_prop41_degrees(q: Quiver, m: WeightMatrix) -> DegreeCheck:
     if m.n != q.n:
         raise ValueError(f"weight matrix size {m.n} != n = {q.n}")
     left = e_chi_degree(character_from_weights(m), q.pic)
-    right = tuple(
-        q.pic[0][k] - q.pic[q.n - 1][k] - q.canonical[k] for k in range(len(q.canonical))
-    )
+    right = spiral_degree(q.pic, q.canonical)
     return DegreeCheck(left == right, left, right)

@@ -9,10 +9,13 @@ names on ``DOCUMENTED`` are exempt.
 
 The other way round, every name that ``perfbench/`` reads off a library
 module must exist, so a removal the benchmark depends on fails here, in a
-fast test, rather than only in the benchmark's own self-test.
+fast test, rather than only in the benchmark's own self-test.  And every
+name an annotation uses must be bound at module level, if only under
+``if TYPE_CHECKING:``, so that a reader or a type checker can resolve it.
 """
 
 import ast
+import builtins
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -128,3 +131,53 @@ def test_perfbench_reads_only_names_the_library_defines():
         if not _resolves(importlib.import_module(f"quiverstab.{module}"), dotted)
     ]
     assert missing == []
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level, inside ``if`` blocks too."""
+    bound = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.If):
+            stack += node.body + node.orelse
+    return bound
+
+
+def _annotations(tree: ast.Module):
+    """``(where, annotation)`` for every annotation in a module: arguments
+    and returns of functions at any depth, and annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield node.name, arg.annotation
+            if node.returns is not None:
+                yield node.name, node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield f"line {node.lineno}", node.annotation
+
+
+def unbound_annotation_names() -> list[str]:
+    """``module.where: name`` for each annotation name its module never binds."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = _module_bindings(tree) | set(dir(builtins))
+        for where, annotation in _annotations(tree):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Name) and node.id not in bound:
+                    out.add(f"{path.stem}.{where}: {node.id}")
+    return sorted(out)
+
+
+def test_annotations_name_only_bound_names():
+    assert unbound_annotation_names() == []

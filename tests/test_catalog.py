@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from quiverstab.catalog import (
     _SPECS,
     IrrelevantLocusError,
     UnknownEntryError,
-    _build,
     _check_hom_dimensions,
     _pn,
+    _sections,
     _weight_zero_quiver,
     canonical_geometric_form,
     check_irrelevant_locus,
@@ -28,6 +29,7 @@ from quiverstab.quiver import (
     _fiber_ends,
     grading_certificate,
     monomial_key,
+    parse_monomial,
 )
 
 ALL_NAMES = ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"]
@@ -131,19 +133,18 @@ def hom_check_by_node_pairs(name, q, variables):
                 )
 
 
-def _dropping_one_arrow(spec):
-    """Each spec that drops one weight-zero arrow from ``spec``."""
-    for at, (s, t, labels) in enumerate(spec.levels):
-        for k in range(len(labels)):
-            level = (s, t, labels[:k] + labels[k + 1 :])
-            yield spec.replace(levels=spec.levels[:at] + (level,) + spec.levels[at + 1 :])
+def _dropping_one_arrow(q):
+    """Each quiver that drops one arrow from ``q``."""
+    for k in range(len(q.arrows)):
+        yield q.replace(arrows=q.arrows[:k] + q.arrows[k + 1 :])
 
 
-def _dropping_one_level(spec):
-    """Each spec that drops all the weight-zero arrows of one level of
-    ``spec``, and its gg table, which may name a pair left without paths."""
-    for at in range(len(spec.levels)):
-        yield spec.replace(levels=spec.levels[:at] + spec.levels[at + 1 :], gg=None)
+def _dropping_one_level(q):
+    """Each quiver that drops all the arrows from one node to another of
+    ``q``, and its gg table, which may name a pair left without paths."""
+    for level in sorted({(a.source, a.target) for a in q.arrows}):
+        arrows = tuple(a for a in q.arrows if (a.source, a.target) != level)
+        yield q.replace(arrows=arrows, gg=None)
 
 
 def _verdict(check, *args):
@@ -157,16 +158,23 @@ def _verdict(check, *args):
 WEIGHT_ZERO_SPECS = {**_SPECS, **{f"pn({k})": _pn(k) for k in range(1, 5)}}
 
 
+def _weight_zero(name):
+    """The derived weight-zero quiver of a spec, and its sections per node pair."""
+    spec = WEIGHT_ZERO_SPECS[name]
+    sections = _sections(spec)
+    return _weight_zero_quiver(spec, sections), sections
+
+
 class TestHomDimensions:
     @pytest.mark.parametrize("name", sorted(WEIGHT_ZERO_SPECS))
     def test_same_verdicts_as_node_pair_walks(self, name):
-        spec = WEIGHT_ZERO_SPECS[name]
-        arrows, levels = list(_dropping_one_arrow(spec)), list(_dropping_one_level(spec))
+        q, sections = _weight_zero(name)
+        variables = WEIGHT_ZERO_SPECS[name].variables
+        arrows, levels = list(_dropping_one_arrow(q)), list(_dropping_one_level(q))
         verdicts = []
-        for variant in (spec, *arrows, *levels):
-            q = _weight_zero_quiver(variant)
-            got = _verdict(_check_hom_dimensions, name, q, _fiber_ends(q), variant.variables)
-            assert got == _verdict(hom_check_by_node_pairs, name, q, variant.variables)
+        for variant in (q, *arrows, *levels):
+            got = _verdict(_check_hom_dimensions, name, _fiber_ends(variant), sections)
+            assert got == _verdict(hom_check_by_node_pairs, name, variant, variables)
             verdicts.append(got)
         # the entry itself passes, some arrow is needed for the full Hom space,
         # and every level is: without it, some pair has fewer paths than Homs
@@ -175,25 +183,110 @@ class TestHomDimensions:
         assert all(v != "passes" for v in verdicts[1 + len(arrows) :])
 
     def test_f1_without_an_arrow_fails(self):
-        spec = _SPECS["f1"]
-        levels = spec.levels[:-1] + ((4, 3, ("t4", "t1*t2")),)
+        q, sections = _weight_zero("f1")
+        q = q.replace(arrows=tuple(a for a in q.arrows if a.id != "a43_3"))
         message = "f1: paths 4->1 span 5 monomials, Hom dimension is 6"
         with pytest.raises(QuiverError, match=message):
-            _build("f1", spec.replace(levels=levels))
+            _check_hom_dimensions("f1", _fiber_ends(q), sections)
 
     def test_p1xp1_spiral_without_a_level_fails(self):
         # Hom(O(1,0), O(1,1)) = O(0,1) has two sections, and no path is left from 3 to 1
-        spec = _SPECS["p1xp1-spiral"]
-        levels = tuple(level for level in spec.levels if level[:2] != (3, 2))
+        q, sections = _weight_zero("p1xp1-spiral")
+        q = q.replace(arrows=tuple(a for a in q.arrows if (a.source, a.target) != (3, 2)))
         message = "p1xp1-spiral: paths 3->1 span 0 monomials, Hom dimension is 4"
         with pytest.raises(QuiverError, match=message):
-            _build("p1xp1-spiral", spec.replace(levels=levels))
+            _check_hom_dimensions("p1xp1-spiral", _fiber_ends(q), sections)
 
-    def test_label_of_the_wrong_degree_fails(self):
-        levels = ((3, 2, ("x0*x1", "x1", "x2")), (2, 1, ("x0", "x1", "x2")))
-        message = r"p2: arrow a32_1 label degree \(2,\) != \(1,\)"
-        with pytest.raises(QuiverError, match=message):
-            _build("p2", _pn(2).replace(levels=levels))
+
+def _written_pn(dim):
+    n = dim + 1
+    xs = tuple(f"x{k}" for k in range(n))
+    return tuple((s, s - 1, xs) for s in range(n, 1, -1)), (), (-n,)
+
+
+# Oracle: the quivers as the catalog once wrote them out by hand, per entry
+# the levels (source, target, labels), the spiral labels and the canonical class.
+WRITTEN = {
+    "p2": _written_pn(2),
+    "f1": (
+        (
+            (2, 1, ("t2",)),
+            (3, 1, ("t4",)),
+            (3, 2, ("t1", "t3")),
+            (4, 3, ("t4", "t1*t2", "t3*t2")),
+        ),
+        (),
+        (-3, 1),
+    ),
+    "p1xp1": (
+        ((2, 1, ("y1", "y2")), (3, 1, ("x1", "x2")), (4, 2, ("x1", "x2")), (4, 3, ("y1", "y2"))),
+        (),
+        (-2, -2),
+    ),
+    "p2-helix": (_written_pn(2)[0], ("x0", "x1", "x2"), (-3,)),
+    "p1xp1-spiral": (
+        ((2, 1, ("x1", "x2")), (3, 2, ("y1", "y2")), (4, 3, ("x1", "x2"))),
+        ("y1", "y2"),
+        (-2, -2),
+    ),
+    **{f"pn({k})": _written_pn(k) for k in range(1, 7)},
+}
+
+
+def label_degree_errors(q, variables):
+    """Oracle: the arrows whose label is not a monomial of degree
+    pic(source) - pic(target) minus weight times the canonical class."""
+    degree = dict(variables)
+    rank = len(q.canonical)
+    errors = []
+    for a in q.arrows:
+        got = tuple(
+            sum(e * degree[var][k] for var, e in a.label_exponents().items()) for k in range(rank)
+        )
+        expected = tuple(
+            q.pic[a.source - 1][k] - q.pic[a.target - 1][k] - a.weight * q.canonical[k]
+            for k in range(rank)
+        )
+        if got != expected:
+            errors.append(f"{a.id}: label degree {got} != {expected}")
+    return errors
+
+
+class TestDerivedQuivers:
+    @pytest.mark.parametrize("name", list(WRITTEN))
+    def test_matches_the_written_quiver(self, name):
+        levels, spiral, canonical = WRITTEN[name]
+        q = get_entry(name).quiver
+        written = Counter(
+            (s, t, monomial_key(parse_monomial(label)))
+            for s, t, labels in levels
+            for label in labels
+        )
+        got = Counter(
+            (a.source, a.target, monomial_key(a.label_exponents()))
+            for a in q.arrows
+            if a.weight == 0
+        )
+        assert got == written
+        assert tuple(a.label for a in q.arrows if a.weight == 1) == spiral
+        assert q.canonical == canonical
+
+    @pytest.mark.parametrize("name", list(WRITTEN))
+    def test_labels_have_their_degrees(self, name):
+        entry = get_entry(name)
+        assert label_degree_errors(entry.quiver, entry.cox_variables) == []
+
+    @pytest.mark.parametrize("name", list(WRITTEN))
+    def test_arrows_in_id_order(self, name):
+        ids = [a.id for a in get_entry(name).quiver.arrows]
+        assert ids == sorted(ids)
+
+    def test_oracle_sees_a_label_of_the_wrong_degree(self):
+        entry = get_entry("p2")
+        q = entry.quiver
+        bad = q.arrows[0].replace(label="x0*x1")
+        q = q.replace(arrows=(bad,) + q.arrows[1:], relations=())
+        assert label_degree_errors(q, entry.cox_variables) == ["a21_1: label degree (2,) != (1,)"]
 
 
 class TestMonomialsOfDegree:
@@ -273,7 +366,7 @@ class TestTautologicalPoint:
         p = tautological_point(get_entry("f1"), [2, 3, 5, 7])  # t1, t2, t3, t4
         assert p.value("a31_1") == 7  # t4
         assert p.value("a43_2") == 6  # t1 * t2
-        assert p.value("a43_3") == 15  # t3 * t2
+        assert p.value("a43_3") == 15  # t2 * t3
 
     def test_helix_zero_fiber(self):
         p = tautological_point(get_entry("p2-helix"), [1, 2, 3], 0)
