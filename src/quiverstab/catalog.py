@@ -3,19 +3,19 @@ surfaces and projective spaces, with homogeneous-coordinate labels and
 tautological-point constructors.
 
 An entry is its Cox data: Cox variables with their degrees, the Picard
-degrees of the collection, the irrelevant locus and a gg table, which is
-fixed input.  Its quiver of sections, canonical class and spiral labels are
-derived from the Cox data, and at build time the distinct path products
-between two nodes must span a space of the full Hom dimension.
+degrees of the collection and the irrelevant locus.  Its quiver of
+sections, gg table, canonical class and spiral labels are derived from the
+Cox data, and at build time no Hom may run backward, from a later node of
+the collection to an earlier one.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import le
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -25,9 +25,8 @@ from .quiver import (
     Quiver,
     QuiverError,
     Record,
-    _fiber_ends,
-    _fiber_relations,
     as_fraction,
+    derive_binomial_relations,
 )
 
 if TYPE_CHECKING:
@@ -121,13 +120,12 @@ class _Spec(Record):
 
     ``variables`` pairs each Cox variable with its multidegree, ``pic``
     lists the Picard degrees of the collection and ``forbidden`` the
-    irrelevant locus; ``gg`` holds the off-diagonal pairs ``(i, j)`` whose
-    Hom sheaf is generated by global sections, or None for no gg table;
-    ``fiber`` marks an entry on the total space of the canonical bundle.
+    irrelevant locus; ``fiber`` marks an entry on the total space of the
+    canonical bundle.  The gg table is derived, not given.
     """
 
-    _fields = ("description", "variables", "pic", "forbidden", "gg", "fiber")
-    _defaults = {"gg": None, "fiber": False}
+    _fields = ("description", "variables", "pic", "forbidden", "fiber")
+    _defaults = {"fiber": False}
 
 
 def _pn(dim: int) -> _Spec:
@@ -139,7 +137,6 @@ def _pn(dim: int) -> _Spec:
         variables=tuple((x, (1,)) for x in xs),
         pic=tuple((k,) for k in range(n)),
         forbidden=(frozenset(xs),),
-        gg=frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
     )
 
 
@@ -156,14 +153,12 @@ _SPECS = {
         variables=(("t1", (1, -1)), ("t2", (0, 1)), ("t3", (1, -1)), ("t4", (1, 0))),
         pic=((0, 0), (0, 1), (1, 0), (2, 0)),
         forbidden=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
-        gg=frozenset({(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}),
     ),
     "p1xp1": _Spec(
         description="O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
         variables=_P1XP1_VARIABLES,
         pic=((0, 0), (0, 1), (1, 0), (1, 1)),
         forbidden=_P1XP1_FORBIDDEN,
-        gg=frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}),
     ),
     "p2-helix": _pn(2).replace(
         description="helix extension of the P^2 chain on tot(K)", fiber=True
@@ -209,11 +204,16 @@ def _weight_zero_quiver(spec: _Spec, sections) -> Quiver:
     are the sections of pic(E_s) - pic(E_t) that no label of an arrow
     ``k -> t`` with ``t < k < s`` divides, i.e. that factor through no node
     between them; taking ``s`` upward derives those arrows first.  The
-    canonical class is minus the sum of the Cox degrees."""
-    n = len(spec.pic)
-    into: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(1, n + 1)}
+    canonical class is minus the sum of the Cox degrees.
+
+    ``Hom(E_i, E_j)`` is gg iff, whichever variable of each irrelevant-locus
+    set is dropped, some section has exponent 0 on every variable left: each
+    set left spans a cone of the fan, and every maximal cone is one of them
+    (Cox-Little-Schenck, *Toric Varieties*, ch. 6)."""
+    nodes = range(1, len(spec.pic) + 1)
+    into: dict[int, list[tuple[int, ...]]] = {t: [] for t in nodes}
     arrows = []
-    for s in range(2, n + 1):
+    for s in nodes[1:]:
         for t in range(1, s):
             level = sections[s, t]
             for d in into[t]:
@@ -221,49 +221,53 @@ def _weight_zero_quiver(spec: _Spec, sections) -> Quiver:
             into[t] += level
             labels = enumerate(_labels(spec, level), 1)
             arrows += (Arrow(f"a{s}{t}_{k}", s, t, label=label) for k, label in labels)
-    gg = None
-    if spec.gg is not None:
-        gg = tuple(
-            tuple(i == j or (i, j) in spec.gg for j in range(1, n + 1)) for i in range(1, n + 1)
-        )
+    names = [v for v, _ in spec.variables]
+    faces = [[k for k, v in enumerate(names) if v not in h] for h in product(*spec.forbidden)]
+
+    def generated(j: int, i: int) -> bool:
+        return all(any(not any(e[k] for k in f) for e in sections[j, i]) for f in faces)
+
+    gg = tuple(tuple(i == j or generated(j, i) for j in nodes) for i in nodes)
     canonical = tuple(-sum(col) for col in zip(*(d for _, d in spec.variables)))
-    return Quiver(n=n, arrows=tuple(arrows), gg=gg, pic=spec.pic, canonical=canonical)
+    return Quiver(len(nodes), tuple(arrows), (), gg, spec.pic, canonical)
 
 
-def _check_hom_dimensions(name: str, fibers, sections) -> None:
-    """Distinct path products between nodes must exhaust the Hom space.
+def _check_hom_dimensions(name: str, sections) -> None:
+    """No Hom runs backward: for nodes ``j < i``, pic(E_j) - pic(E_i) has
+    no section.
 
-    On a weight-zero quiver each fiber key from j to i is one monomial of
-    degree pic(E_j) - pic(E_i), as is each of ``sections[j, i]``.  Every
-    ordered pair of distinct nodes is compared, so a pair with no path must
-    have no Hom."""
-    spans = Counter((j, i) for j, i, _, _ in fibers)
+    The forward Homs need no check, since the distinct path products from
+    ``s`` to ``t`` span every section of pic(E_s) - pic(E_t) by
+    construction, by induction on ``s - t``.  A section that some label
+    ``d`` of an arrow ``k -> t`` divides is that arrow composed with a
+    section of pic(E_s) - pic(E_k), a path product from ``s`` to ``k``;
+    any other section is itself an arrow ``s -> t``.  Two nodes with equal
+    Picard degrees would break this, as the constant section is no label,
+    but they give a backward Hom of dimension 1."""
     for (j, i), monomials in sections.items():
-        if spans[j, i] != len(monomials):
+        if j < i and monomials:
             raise QuiverError(
-                f"{name}: paths {j}->{i} span {spans[j, i]} monomials, "
-                f"Hom dimension is {len(monomials)}"
+                f"{name}: Hom(E_{i}, E_{j}) has dimension {len(monomials)}, "
+                f"expected 0 since {j} < {i}"
             )
 
 
 def _build(name: str, spec: _Spec) -> CatalogEntry:
     """The entry of a spec: its weight-zero quiver with derived relations,
     or that quiver spiral-extended by every monomial of the spiral degree.
-    One list of sections per node pair feeds both the arrows and the Hom
-    check, and one pass over the fiber keys of the weight-zero quiver feeds
-    both its relations and the Hom check."""
+    One list of sections per node pair feeds the backward Hom check, the
+    arrows and the gg table."""
     sections = _sections(spec)
+    _check_hom_dimensions(name, sections)
     base = _weight_zero_quiver(spec, sections)
-    fibers = _fiber_ends(base)
     if not spec.fiber:
-        q = base.replace(relations=tuple(_fiber_relations(base, fibers)))
+        q = base.replace(relations=tuple(derive_binomial_relations(base)))
     else:
         from .helix import extend_spiral, spiral_degree
 
         degree = spiral_degree(base.pic, base.canonical)
         labels = _labels(spec, monomials_of_degree([d for _, d in spec.variables], degree))
         q = extend_spiral(base, len(labels), labels=labels)
-    _check_hom_dimensions(name, fibers, sections)
     return CatalogEntry(
         name=name,
         quiver=q,

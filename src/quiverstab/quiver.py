@@ -281,9 +281,9 @@ class Quiver(Record):
     helix operations rely on.
 
     ``gg[i-1][j-1]`` records whether the sheaf ``Hom(E_i, E_j)`` is generated
-    by global sections; it is supplied data, not computed.  ``pic`` holds the
-    Picard-lattice degree of each bundle and ``canonical`` the degree of the
-    canonical bundle, when known.
+    by global sections (gg): the catalog derives it from the Cox data, and a
+    quiver file states it.  ``pic`` holds the Picard-lattice degree of each
+    bundle and ``canonical`` the degree of the canonical bundle, when known.
 
     Construction indexes the arrows once: by id and by source in id order.
     Only arrow sources get entries, so the cost follows the arrows, not ``n``.
@@ -479,31 +479,6 @@ def _fiber_ends(q: Quiver) -> dict[tuple, dict]:
     return {key: fibers[key] for key in sorted(fibers, key=str)}
 
 
-def _fiber_relations(q: Quiver, fibers: Mapping[tuple, dict]) -> list[Relation]:
-    """The relations of ``derive_binomial_relations``, from ``_fiber_ends``."""
-    relations: list[Relation] = []
-    for ends in fibers.values():
-        parent: dict[tuple[int, str], tuple[int, str]] = {}
-
-        def root(end: tuple[int, str]) -> tuple[int, str]:
-            while end in parent:
-                end = parent[end]
-            return end
-
-        for (first, last), ids in ends.items():
-            if len(ids) >= 3 and (r := root((0, first))) != (s := root((1, last))):
-                parent[r] = s
-        leaders: dict[tuple, tuple[str, ...]] = {}
-        for (first, last), ids in ends.items():
-            if len(ids) >= 2:
-                component = root((0, first)) if len(ids) >= 3 else ids
-                if component not in leaders or ids < leaders[component]:
-                    leaders[component] = ids
-        paths = [Path(q.arrow(p[0]).source, map(q.arrow, p)) for p in sorted(leaders.values())]
-        relations.extend(Relation(((1, paths[0]), (-1, p))) for p in paths[1:])
-    return relations
-
-
 def derive_binomial_relations(q: Quiver) -> list[Relation]:
     """Binomial relations induced by coincidences of monomial label products.
 
@@ -525,7 +500,27 @@ def derive_binomial_relations(q: Quiver) -> list[Relation]:
 
     The paths are bounded by degree as in ``_fiber_ends``.
     """
-    return _fiber_relations(q, _fiber_ends(q))
+    relations: list[Relation] = []
+    for ends in _fiber_ends(q).values():
+        parent: dict[tuple[int, str], tuple[int, str]] = {}
+
+        def root(end: tuple[int, str]) -> tuple[int, str]:
+            while end in parent:
+                end = parent[end]
+            return end
+
+        for (first, last), ids in ends.items():
+            if len(ids) >= 3 and (r := root((0, first))) != (s := root((1, last))):
+                parent[r] = s
+        leaders: dict[tuple, tuple[str, ...]] = {}
+        for (first, last), ids in ends.items():
+            if len(ids) >= 2:
+                component = root((0, first)) if len(ids) >= 3 else ids
+                if component not in leaders or ids < leaders[component]:
+                    leaders[component] = ids
+        paths = [Path(q.arrow(p[0]).source, map(q.arrow, p)) for p in sorted(leaders.values())]
+        relations.extend(Relation(((1, paths[0]), (-1, p))) for p in paths[1:])
+    return relations
 
 
 # ---------------------------------------------------------------------------

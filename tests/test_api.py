@@ -12,6 +12,10 @@ module must exist, so a removal the benchmark depends on fails here, in a
 fast test, rather than only in the benchmark's own self-test.  And every
 name an annotation uses must be bound at module level, if only under
 ``if TYPE_CHECKING:``, so that a reader or a type checker can resolve it.
+
+No module imports an underscore name from a sibling module, except the
+names on ``PRIVATE_IMPORTS``: a private name stays the business of the
+module that defines it.
 """
 
 import ast
@@ -181,3 +185,35 @@ def unbound_annotation_names() -> list[str]:
 
 def test_annotations_name_only_bound_names():
     assert unbound_annotation_names() == []
+
+
+# (importing module, "module.name") -> why it may import a private name
+PRIVATE_IMPORTS = {
+    ("stability", "quiver._reachable"): (
+        "one closure routine serves the quiver's reach and the support family"
+    ),
+}
+
+
+def private_imports() -> list[tuple[str, str]]:
+    """``(module, "sibling.name")`` for each underscore name a package module
+    imports from a sibling, at any depth."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 1:
+                sibling = node.module
+            elif node.module.startswith("quiverstab."):
+                sibling = node.module.removeprefix("quiverstab.")
+            else:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.add((path.stem, f"{sibling}.{alias.name}"))
+    return sorted(out)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    assert private_imports() == sorted(PRIVATE_IMPORTS)

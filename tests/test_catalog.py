@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import enumerate_paths
@@ -9,6 +10,7 @@ from quiverstab.catalog import (
     _SPECS,
     IrrelevantLocusError,
     UnknownEntryError,
+    _build,
     _check_hom_dimensions,
     _pn,
     _sections,
@@ -24,13 +26,7 @@ from quiverstab.catalog import (
     tautological_point,
 )
 from quiverstab.points import satisfies_relations, vanishing_pattern
-from quiverstab.quiver import (
-    QuiverError,
-    _fiber_ends,
-    grading_certificate,
-    monomial_key,
-    parse_monomial,
-)
+from quiverstab.quiver import QuiverError, grading_certificate, monomial_key, parse_monomial
 
 ALL_NAMES = ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"]
 
@@ -55,6 +51,8 @@ class TestEntries:
         assert len(q.relations) == 3
 
     def test_f1_gg_false_only_at_12(self):
+        # Hom(E_1, E_2) = O(D) has a section, t2, but it vanishes on the cone {t1, t2}
+        assert _sections(_SPECS["f1"])[2, 1] == [(0, 1, 0, 0)]
         q = get_entry("f1").quiver
         false_pairs = {
             (i, j)
@@ -114,9 +112,10 @@ class TestEntries:
 
 
 def hom_check_by_node_pairs(name, q, variables):
-    """Oracle: the Hom-dimension check with one enumerate_paths walk per
-    ordered node pair, each counting the distinct label products; a pair
-    with no path counts zero."""
+    """Oracle: the distinct label products of the paths between each
+    ordered pair of nodes, one enumerate_paths walk per pair, span the
+    whole Hom space; a pair with no path counts zero.  The build checks
+    only the backward pairs, since the forward ones hold by construction."""
     degrees = [d for _, d in variables]
     for j in range(1, q.n + 1):
         for i in range(1, q.n + 1):
@@ -165,37 +164,76 @@ def _weight_zero(name):
     return _weight_zero_quiver(spec, sections), sections
 
 
+def _random_specs(base, count, box, seed):
+    """Specs on the Cox data of ``base`` with ``count`` random collections
+    of 2-4 distinct Picard degrees in ``box``, each list drawn once."""
+    rng = random.Random(seed)
+    spec = _SPECS[base]
+    degrees = list(product(box, repeat=len(spec.variables[0][1])))
+    seen = set()
+    while len(seen) < count:
+        pic = tuple(rng.sample(degrees, rng.randint(2, 4)))
+        if pic not in seen:
+            seen.add(pic)
+            yield spec.replace(pic=pic)
+
+
 class TestHomDimensions:
+    """The build checks only that no Hom runs backward.  The forward Homs
+    are spanned by path products by construction (see
+    ``_check_hom_dimensions``), and the node-pair walks confirm it here."""
+
     @pytest.mark.parametrize("name", sorted(WEIGHT_ZERO_SPECS))
     def test_same_verdicts_as_node_pair_walks(self, name):
         q, sections = _weight_zero(name)
         variables = WEIGHT_ZERO_SPECS[name].variables
-        arrows, levels = list(_dropping_one_arrow(q)), list(_dropping_one_level(q))
-        verdicts = []
-        for variant in (q, *arrows, *levels):
-            got = _verdict(_check_hom_dimensions, name, _fiber_ends(variant), sections)
-            assert got == _verdict(hom_check_by_node_pairs, name, variant, variables)
-            verdicts.append(got)
-        # the entry itself passes, some arrow is needed for the full Hom space,
-        # and every level is: without it, some pair has fewer paths than Homs
-        assert verdicts[0] == "passes"
-        assert any(v != "passes" for v in verdicts[1 : 1 + len(arrows)])
-        assert all(v != "passes" for v in verdicts[1 + len(arrows) :])
+        assert _verdict(_check_hom_dimensions, name, sections) == "passes"
+        assert _verdict(hom_check_by_node_pairs, name, q, variables) == "passes"
+        # self-test of the oracle: some arrow is needed for the full Hom
+        # space, and every level is, since without it some pair has fewer
+        # paths than Homs
+        def verdicts(variants):
+            return [_verdict(hom_check_by_node_pairs, name, v, variables) for v in variants]
+
+        assert any(v != "passes" for v in verdicts(_dropping_one_arrow(q)))
+        assert all(v != "passes" for v in verdicts(_dropping_one_level(q)))
+
+    @pytest.mark.parametrize(
+        "base,box",
+        [("p2", range(5)), ("f1", range(-1, 3)), ("p1xp1", range(3))],
+        ids=["p2", "f1", "p1xp1"],
+    )
+    def test_forward_homs_are_spanned_on_random_collections(self, base, box):
+        verdicts = Counter()
+        for spec in _random_specs(base, 70, box, seed=17):
+            sections = _sections(spec)
+            verdict = _verdict(_check_hom_dimensions, base, sections)
+            if verdict == "passes":
+                hom_check_by_node_pairs(base, _weight_zero_quiver(spec, sections), spec.variables)
+            verdicts[verdict == "passes"] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+    def test_backward_hom_fails_the_build(self):
+        spec = _pn(2).replace(pic=((0,), (2,), (1,)))
+        message = r"^p2: Hom\(E_3, E_2\) has dimension 3, expected 0 since 2 < 3$"
+        with pytest.raises(QuiverError, match=message):
+            _build("p2", spec)
 
     def test_f1_without_an_arrow_fails(self):
-        q, sections = _weight_zero("f1")
+        q, _ = _weight_zero("f1")
         q = q.replace(arrows=tuple(a for a in q.arrows if a.id != "a43_3"))
         message = "f1: paths 4->1 span 5 monomials, Hom dimension is 6"
         with pytest.raises(QuiverError, match=message):
-            _check_hom_dimensions("f1", _fiber_ends(q), sections)
+            hom_check_by_node_pairs("f1", q, _SPECS["f1"].variables)
 
     def test_p1xp1_spiral_without_a_level_fails(self):
         # Hom(O(1,0), O(1,1)) = O(0,1) has two sections, and no path is left from 3 to 1
-        q, sections = _weight_zero("p1xp1-spiral")
-        q = q.replace(arrows=tuple(a for a in q.arrows if (a.source, a.target) != (3, 2)))
+        q, _ = _weight_zero("p1xp1-spiral")
+        arrows = tuple(a for a in q.arrows if (a.source, a.target) != (3, 2))
+        q = q.replace(arrows=arrows, gg=None)
         message = "p1xp1-spiral: paths 3->1 span 0 monomials, Hom dimension is 4"
         with pytest.raises(QuiverError, match=message):
-            _check_hom_dimensions("p1xp1-spiral", _fiber_ends(q), sections)
+            hom_check_by_node_pairs("p1xp1-spiral", q, _SPECS["p1xp1-spiral"].variables)
 
 
 def _written_pn(dim):
@@ -230,6 +268,21 @@ WRITTEN = {
         (-2, -2),
     ),
     **{f"pn({k})": _written_pn(k) for k in range(1, 7)},
+}
+
+
+def _written_pn_gg(dim):
+    return {(i, j) for i in range(1, dim + 2) for j in range(i + 1, dim + 2)}
+
+
+# Oracle: the gg tables as the catalog once wrote them out by hand, per entry
+# the pairs (i, j) of distinct nodes with Hom(E_i, E_j) generated by global sections.
+WRITTEN_GG = {
+    "p2": _written_pn_gg(2),
+    # Hom(E_1, E_2) = O(D) has a section, t2, but it vanishes on the cone {t1, t2}
+    "f1": {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)},
+    "p1xp1": {(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)},
+    **{f"pn({k})": _written_pn_gg(k) for k in range(1, 7)},
 }
 
 
@@ -280,6 +333,15 @@ class TestDerivedQuivers:
     def test_arrows_in_id_order(self, name):
         ids = [a.id for a in get_entry(name).quiver.arrows]
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("name", list(WRITTEN_GG))
+    def test_gg_matches_the_written_table(self, name):
+        gg = get_entry(name).quiver.gg
+        nodes = range(1, len(gg) + 1)
+        assert all(gg[i - 1][i - 1] for i in nodes)
+        assert {(i, j) for i in nodes for j in nodes if i != j and gg[i - 1][j - 1]} == (
+            WRITTEN_GG[name]
+        )
 
     def test_oracle_sees_a_label_of_the_wrong_degree(self):
         entry = get_entry("p2")
