@@ -80,9 +80,13 @@ def as_fraction(x) -> Fraction:
     """An exact rational from an integer, a Fraction or a string like ``"-3/4"``.
 
     Floats are inexact and a JSON ``true`` is no number; they and every
-    other malformed value raise ValueError.
+    other malformed value raise ValueError.  So does a string in exponent
+    notation: ``Fraction`` would expand ``"1e999999999"`` to a billion digits.
     """
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{x!r} is not a rational: exponent notation is not accepted")
+    elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError(f"{x!r} is not exact; use an integer or a string like '3/4'")
     try:
         return Fraction(x)
@@ -418,23 +422,38 @@ def grading_certificate(q: Quiver) -> GradingCertificate:
     return GradingCertificate(True)
 
 
-def _fiber_ends(q: Quiver) -> dict[tuple, dict]:
-    """The fibers of the paths of length >= 1, without listing their paths.
+def derive_binomial_relations(q: Quiver) -> list[Relation]:
+    """Binomial relations induced by coincidences of monomial label products.
 
-    Paths with the same source, target, total weight and label product
-    compose to the same map of sheaves.  Each fiber is keyed by
-    ``(source, target, total weight, monomial_key of the label product)``,
-    in ``str`` order, and maps each realized (first arrow id, last arrow id)
-    pair to the least path with those ends, as a tuple of arrow ids.
+    Paths of length >= 1 with the same source, target, total weight and
+    label product form a fiber and compose to the same map of sheaves;
+    matching by degree rather than by length lets a labeled composite arrow
+    shortcut a longer path.  A fiber, keyed by ``(source, target, total
+    weight, monomial_key of the label product)``, keeps not its paths but
+    the least one (arrow ids) of each realized (first, last) arrow pair.
 
-    A key fixes its degree, ``source - target + n * weight``, so one pass
-    takes the keys in increasing degree.  The paths of a fiber ending in
-    ``b`` extend those of the fiber without ``b``, of lower degree, and
-    paths of one degree are never prefixes of each other, so the least path
-    with ends ``(a, b)`` is the least one of that fiber starting with ``a``,
-    then ``b``.  On a cyclic quiver the paths are bounded by total degree
-    ``n``, one trip around the added helix arrows; on an acyclic one nothing
-    is bounded.  The cost follows the keys, not the bound.
+    A key fixes its degree, ``source - target + n * weight``, so one heap
+    pass takes the keys in increasing degree.  The paths of a fiber ending
+    in ``b`` extend those of the fiber without ``b``, of lower degree, so a
+    fiber is complete when its key comes up: the pass reads it and frees it
+    then, and extends the key by the arrows out of its target.  Paths of one
+    degree are never prefixes of each other, so the least path with ends
+    ``(a, b)`` is the least one of the fiber without ``b`` starting with
+    ``a``, then ``b``.  On a cyclic quiver the paths are bounded by total
+    degree ``n``, one trip around the added helix arrows; on an acyclic one
+    nothing is bounded.  The cost follows the keys, not the bound.
+
+    Two paths of length >= 3 in a fiber that share their first arrow ``a``
+    differ by ``a`` times the difference of two paths in a fiber of lower
+    degree, and likewise for a shared last arrow, so their relation follows
+    from lower-degree ones.  Joining the (first, last) pairs of such paths
+    along shared end arrows splits each fiber into components; the
+    relations are ``leader_0 - leader_k``, one per extra component, where
+    ``leader_k`` is the least path (by arrow ids) of the k-th component.
+    They generate the same ideal as all pairwise differences.  Length-2
+    paths are never joined: removing the shared arrow leaves a single arrow,
+    and a difference of single arrows is not a relation.  The relations
+    come by fiber key in ``str`` order, then by leader.
     """
     import heapq  # deferred: only relation derivation loads it
 
@@ -448,6 +467,7 @@ def _fiber_ends(q: Quiver) -> dict[tuple, dict]:
 
     fibers: dict[tuple, dict[tuple[str, str], tuple[str, ...]]] = {}
     pending: list[tuple[int, tuple]] = []
+    found: list[tuple[str, list[tuple[str, ...]]]] = []
 
     def add(key: tuple, ends: dict) -> None:
         degree = key[0] - key[1] + q.n * key[2]
@@ -458,58 +478,23 @@ def _fiber_ends(q: Quiver) -> dict[tuple, dict]:
             heapq.heappush(pending, (degree, key))
         fibers[key].update(ends)
 
+    def root(end: tuple[int, str]) -> tuple[int, str]:
+        while end in parent:
+            up = parent[end]
+            parent[end] = end = parent.get(up, up)
+        return end
+
     for a in q.arrows:
         key = (a.source, a.target, a.weight, monomial_key(a.label_exponents()))
         add(key, {(a.id, a.id): (a.id,)})
     while pending:
-        _, key = heapq.heappop(pending)
-        src, at, weight, label = key
+        key = heapq.heappop(pending)[1]
+        ends = fibers.pop(key)
         least: dict[str, tuple[str, ...]] = {}
-        for (first, _), ids in fibers[key].items():
+        parent: dict[tuple[int, str], tuple[int, str]] = {}
+        for (first, last), ids in ends.items():
             if first not in least or ids < least[first]:
                 least[first] = ids
-        for b in q.outgoing(at):
-            product = dict(label)
-            for var, e in b.label_exponents().items():
-                product[var] = product.get(var, 0) + e
-            add(
-                (src, b.target, weight + b.weight, monomial_key(product)),
-                {(first, b.id): ids + (b.id,) for first, ids in least.items()},
-            )
-    return {key: fibers[key] for key in sorted(fibers, key=str)}
-
-
-def derive_binomial_relations(q: Quiver) -> list[Relation]:
-    """Binomial relations induced by coincidences of monomial label products.
-
-    The paths of length >= 2 in one fiber of ``_fiber_ends`` (equal
-    endpoints, total weight and label product) compose to the same map of
-    sheaves.  Matching is by path-algebra degree rather than by raw length,
-    since a labeled composite arrow can shortcut a longer path.
-
-    Two paths of length >= 3 in a fiber that share their first arrow ``a``
-    differ by ``a`` times the difference of two paths in a fiber of lower
-    degree, and likewise for a shared last arrow, so their relation follows
-    from lower-degree ones.  Joining the (first, last) pairs of such paths
-    along shared end arrows splits each fiber into components; the
-    relations are ``leader_0 - leader_k``, one per extra component, where
-    ``leader_k`` is the least path (by arrow ids) of the k-th component.
-    They generate the same ideal as all pairwise differences.  Length-2
-    paths are never joined: removing the shared arrow leaves a single arrow,
-    and a difference of single arrows is not a relation.
-
-    The paths are bounded by degree as in ``_fiber_ends``.
-    """
-    relations: list[Relation] = []
-    for ends in _fiber_ends(q).values():
-        parent: dict[tuple[int, str], tuple[int, str]] = {}
-
-        def root(end: tuple[int, str]) -> tuple[int, str]:
-            while end in parent:
-                end = parent[end]
-            return end
-
-        for (first, last), ids in ends.items():
             if len(ids) >= 3 and (r := root((0, first))) != (s := root((1, last))):
                 parent[r] = s
         leaders: dict[tuple, tuple[str, ...]] = {}
@@ -518,7 +503,20 @@ def derive_binomial_relations(q: Quiver) -> list[Relation]:
                 component = root((0, first)) if len(ids) >= 3 else ids
                 if component not in leaders or ids < leaders[component]:
                     leaders[component] = ids
-        paths = [Path(q.arrow(p[0]).source, map(q.arrow, p)) for p in sorted(leaders.values())]
+        if len(leaders) >= 2:
+            found.append((str(key), sorted(leaders.values())))
+        src, at, weight, label = key
+        for b in q.outgoing(at):
+            product = dict(label)
+            for var, e in b.label_exponents().items():
+                product[var] = product.get(var, 0) + e
+            add(
+                (src, b.target, weight + b.weight, monomial_key(product)),
+                {(first, b.id): ids + (b.id,) for first, ids in least.items()},
+            )
+    relations: list[Relation] = []
+    for _, leaders in sorted(found):
+        paths = [Path(q.arrow(p[0]).source, map(q.arrow, p)) for p in leaders]
         relations.extend(Relation(((1, paths[0]), (-1, p))) for p in paths[1:])
     return relations
 

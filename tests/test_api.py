@@ -13,9 +13,9 @@ fast test, rather than only in the benchmark's own self-test.  And every
 name an annotation uses must be bound at module level, if only under
 ``if TYPE_CHECKING:``, so that a reader or a type checker can resolve it.
 
-No module imports an underscore name from a sibling module, except the
-names on ``PRIVATE_IMPORTS``: a private name stays the business of the
-module that defines it.
+No module imports an underscore name from a sibling module, or reads one
+off a sibling module it imports, except the names on ``PRIVATE_IMPORTS``:
+a private name stays the business of the module that defines it.
 """
 
 import ast
@@ -192,26 +192,43 @@ PRIVATE_IMPORTS = {
     ("stability", "quiver._reachable"): (
         "one closure routine serves the quiver's reach and the support family"
     ),
+    ("invariants", "catalog._monomial_value"): (
+        "the one evaluation of a tautological monomial serves points and cycle values"
+    ),
 }
 
 
 def private_imports() -> list[tuple[str, str]]:
     """``(module, "sibling.name")`` for each underscore name a package module
-    imports from a sibling, at any depth."""
+    imports from a sibling, or reads as ``alias._name`` off a sibling bound
+    by ``from . import sibling [as alias]``, at any depth."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.ImportFrom) or node.module is None:
+        tree = ast.parse(path.read_text())
+        siblings = {}  # alias -> the sibling module it binds
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if (node.level, node.module) in ((1, None), (0, "quiverstab")):
+                siblings.update((a.asname or a.name, a.name) for a in node.names)
                 continue
             if node.level == 1:
                 sibling = node.module
-            elif node.module.startswith("quiverstab."):
+            elif (node.module or "").startswith("quiverstab."):
                 sibling = node.module.removeprefix("quiverstab.")
             else:
                 continue
             for alias in node.names:
                 if alias.name.startswith("_"):
                     out.add((path.stem, f"{sibling}.{alias.name}"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+            ):
+                out.add((path.stem, f"{siblings[node.value.id]}.{node.attr}"))
     return sorted(out)
 
 

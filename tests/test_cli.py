@@ -77,6 +77,14 @@ class TestCatalogCommand:
         assert len(json.loads(result.output)["entries"]) == 6
 
 
+def _cli_env() -> dict:
+    """The environment for a command-line process that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -85,14 +93,11 @@ class TestCatalogCommand:
     ],
 )
 def test_closed_stdout_exits_1_without_traceback(args):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "quiverstab.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     proc.stdout.close()  # the reader goes away before the command writes
     _, stderr = proc.communicate(timeout=60)
@@ -307,6 +312,20 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", "--example", "p2", "--chi=-1,0,1", "--taut", taut])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
+
+    def test_exponent_taut_exits_2_at_once(self):
+        # Fraction would expand 1e999999999 to a billion digits; a process
+        # with a timeout keeps a regression from holding the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverstab.cli", "check", "--example", "p2"]
+            + ["--chi=-1,0,1", "--taut", "1e999999999:1:1"],
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith("Error: ")
 
     def test_bad_character_length(self, runner):
         result = runner.invoke(
