@@ -33,8 +33,8 @@ if TYPE_CHECKING:
     from .points import RepresentationPoint
 
 
-class UnknownEntryError(KeyError):
-    """No catalog entry with the requested name."""
+class UnknownEntryError(ValueError):
+    """No catalog entry with the requested name; the message says what to give."""
 
 
 class IrrelevantLocusError(DomainError):
@@ -174,7 +174,7 @@ _SPECS = {
 _PN_DESCRIPTION = "O..O(k) on P^k, any k >= 1"
 # Listed names that stand for a family of entries, each with a buildable instance.
 TEMPLATES = {"pn(k)": "pn(3)"}
-_PN_RE = re.compile(r"pn\((\d+)\)$")
+_PN_RE = re.compile(r"pn\(([0-9]+)\)")
 
 
 def _sections(spec: _Spec) -> dict[tuple[int, int], list[tuple[int, ...]]]:
@@ -289,11 +289,16 @@ def entry_description(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def get_entry(name: str) -> CatalogEntry:
+    """The entry of a built-in name or of a template's instance, such as ``pn(3)``."""
     if name in _SPECS:
         return _build(name, _SPECS[name])
-    m = _PN_RE.match(name)
+    if name in TEMPLATES:
+        raise UnknownEntryError(
+            f"{name!r} is a template, not an entry; give a size, e.g. {TEMPLATES[name]}"
+        )
+    m = _PN_RE.fullmatch(name)
     if m is None or int(m.group(1)) < 1:
-        raise UnknownEntryError(name)
+        raise UnknownEntryError(f"unknown entry {name!r}; built-ins are {', '.join(entry_names())}")
     dim = int(m.group(1))
     canonical = "p2" if dim == 2 else f"pn({dim})"
     if name != canonical:  # the cache keys on the spelling: "pn(2)" must not build p2 again

@@ -24,8 +24,6 @@ if TYPE_CHECKING:
     from . import points as pts
     from . import stability as st
 
-CATALOG_ENV = "QUIVERSTAB_CATALOG"
-
 
 class UsageError(ValueError):
     """Bad input found by the command line itself: exit 2, after the usage."""
@@ -41,40 +39,16 @@ def _read_json(path, what: str, build):
         raise UsageError(f"bad {what}: {exc}")
 
 
-def _catalog_entry(name: str):
-    """The built-in entry of that name, or None.  A template name such as
-    ``pn(k)`` exits 2 with a concrete name to give instead."""
-    from . import catalog as cat
-
-    if name in cat.TEMPLATES:
-        raise UsageError(
-            f"{name!r} is a template, not an entry; give a size, e.g. {cat.TEMPLATES[name]}"
-        )
-    try:
-        return cat.get_entry(name)
-    except cat.UnknownEntryError:
-        return None
-
-
 def _load_quiver(example: str | None, quiver_path: str | None):
     """Resolve the quiver (and catalog entry, if any) from the CLI options."""
     if (example is None) == (quiver_path is None):
         raise UsageError("give exactly one of --example or --quiver")
     if quiver_path is not None:
         return _read_json(quiver_path, "quiver file", qv.quiver_from_dict), None
-    entry = _catalog_entry(example)
-    if entry is not None:
-        return entry.quiver, entry
-    root = os.environ.get(CATALOG_ENV)
-    if root:
-        path = FsPath(root) / f"{example}.json"
-        if path.exists():
-            return _read_json(path, "quiver file", qv.quiver_from_dict), None
     from . import catalog as cat
 
-    raise UsageError(
-        f"unknown example {example!r}; built-ins are {', '.join(cat.entry_names())}"
-    )
+    entry = cat.get_entry(example)
+    return entry.quiver, entry
 
 
 def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
@@ -86,7 +60,7 @@ def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
         character = _read_json(chi_file, "character file", lambda data: st.Character(data["chi"]))
     else:
         try:
-            character = st.Character([int(x) for x in chi.split(",")])
+            character = st.Character([qv.parse_int(x) for x in chi.split(",")])
         except ValueError as exc:
             raise UsageError(f"bad character {chi!r}: {exc}")
     if character.n != q.n:
@@ -110,8 +84,8 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
     for spec in m_entries:
         try:
             value, pair = spec.split("@")
-            i, j = (int(x) for x in pair.split(","))
-            entries[(i, j)] = entries.get((i, j), 0) + int(value)
+            i, j = (qv.parse_int(x) for x in pair.split(","))
+            entries[(i, j)] = entries.get((i, j), 0) + qv.parse_int(value)
         except ValueError:
             raise UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
     if n is None:
@@ -187,12 +161,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\nError: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """The type of the integer options: ``quiver.parse_int``'s grammar."""
+    try:
+        return qv.parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _at_least_one(text: str) -> int:
     """The type of the options that count or size something."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
     return value
@@ -239,9 +218,9 @@ def _command(name: str, *arguments):
 @_command("catalog", _arg("name", nargs="?"), _FORMAT_ARG)
 def catalog_cmd(name, fmt):
     """List the built-in examples, or export one as quiver JSON."""
-    if name is None:
-        from . import catalog as cat
+    from . import catalog as cat
 
+    if name is None:
         rows = [(nm, cat.entry_description(nm), nm in cat.TEMPLATES) for nm in cat.entry_names()]
         _emit(
             {"entries": [{"name": a, "description": b, "template": t} for a, b, t in rows]},
@@ -249,10 +228,7 @@ def catalog_cmd(name, fmt):
             fmt,
         )
         return
-    entry = _catalog_entry(name)
-    if entry is None:
-        raise UsageError(f"unknown example {name!r}")
-    print(qv.quiver_to_json(entry.quiver))
+    print(qv.quiver_to_json(cat.get_entry(name).quiver))
 
 
 @_command(
@@ -276,8 +252,6 @@ def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, stri
     if strict and not ok:
         raise qv.DomainError("point does not satisfy the quiver relations")
     report = st.stability_report(q, p, character)
-    result = report.to_dict()
-    result["satisfies_relations"] = ok
     verdict = "stable" if report.stable else ("semistable" if report.semistable else "unstable")
     lines = [verdict]
     if not ok:
@@ -285,7 +259,7 @@ def check_cmd(example, quiver_path, chi, chi_file, point_path, taut, fiber, stri
     if report.violating_support is not None:
         lines.append(f"violating support: {list(report.violating_support)}")
     lines.append(f"supports: {report.supports_count}")
-    _emit(result, lines, fmt)
+    _emit({**report.to_dict(), "satisfies_relations": ok}, lines, fmt)
 
 
 @_command("certify", *_QUIVER_ARGS, *_WEIGHT_ARGS, _FORMAT_ARG)
@@ -415,7 +389,7 @@ def cycles_cmd(example, quiver_path, max_len, fmt):
     _arg("--example", required=True),
     _arg("--pairs", type=_at_least_one, default=100, help="(default 100)"),
     _arg("--max-len", type=_at_least_one, help="cycle length cap (default 2n)"),
-    _arg("--seed", type=int, default=0, help="(default 0)"),
+    _arg("--seed", type=_integer, default=0, help="(default 0)"),
     _FORMAT_ARG,
 )
 def separate_cmd(example, pairs, max_len, seed, fmt):
@@ -423,8 +397,6 @@ def separate_cmd(example, pairs, max_len, seed, fmt):
     from . import invariants as inv
 
     _, entry = _load_quiver(example, None)
-    if entry is None:
-        raise UsageError(f"example {example!r} has no fiber data")
     if max_len is None:
         max_len = 2 * entry.quiver.n
     report = inv.separation_experiment(entry, pairs, max_len, seed)

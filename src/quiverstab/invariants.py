@@ -74,14 +74,6 @@ class SeparationReport(Record):
     def fraction(self) -> Fraction:
         return Fraction(self.separated, self.pairs) if self.pairs else Fraction(0)
 
-    def to_dict(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "pairs": self.pairs,
-            "separated": self.separated,
-            "collisions": list(self.collisions),
-        }
-
 
 def separation_experiment(
     entry, samples: int, max_len: int, seed: int

@@ -66,32 +66,43 @@ def _as_bool(x) -> bool:
     return x
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def as_int(x) -> int:
     """An exact integer: a Python or JSON integer, never a boolean or float.
 
     Every malformed value raises ValueError.
     """
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{x!r} is not an integer")
+        raise ValueError(f"{x!r:.40} is not an integer")
     return x
 
 
-def as_fraction(x) -> Fraction:
-    """An exact rational from an integer, a Fraction or a string like ``"-3/4"``.
+def parse_int(text: str) -> int:
+    """An integer as the command line reads one: an optional sign and ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r:.40} is not an integer")
+    return int(text)
 
-    Floats are inexact and a JSON ``true`` is no number; they and every
-    other malformed value raise ValueError.  So does a string in exponent
-    notation: ``Fraction`` would expand ``"1e999999999"`` to a billion digits.
-    """
+
+def as_fraction(x) -> Fraction:
+    """An exact rational from an integer, a Fraction or a string like ``"-3/4"``
+    or ``"0.5"``; floats, booleans and every other value raise ValueError.
+    A string must match ``_RATIONAL``, ASCII only: no spaces, underscores or
+    exponents (``Fraction`` would expand ``"1e999999999"``)."""
     if isinstance(x, str):
-        if "e" in x or "E" in x:
-            raise ValueError(f"{x!r} is not a rational: exponent notation is not accepted")
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"{x!r:.40} is not a rational; write it like '-3/4' or '0.5'")
     elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{x!r} is not exact; use an integer or a string like '3/4'")
+        raise ValueError(f"{x!r:.40} is not exact; use an integer or a string like '3/4'")
     try:
         return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{x!r} is not a rational: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r:.40} is not a rational: zero denominator") from None
+    except ValueError:  # past Python's limit on the digits of an integer string
+        raise ValueError(f"{x!r:.40} is not a rational: too many digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +114,8 @@ class Record:
     """Base of the package's immutable value types.
 
     ``_fields`` names a type's fields in constructor order.  Equality, the
-    hash and the repr read those fields, and ``replace`` passes them back to
-    the constructor.  A type whose constructor only stores its fields
+    hash, the repr and ``to_dict`` read those fields, and ``replace`` passes
+    them back to the constructor.  A type whose constructor only stores its fields
     inherits this one, which binds them as a signature would, with
     ``_defaults`` for the fields that may be left out; a type that checks or
     converts a field defines its own.  Constructors fill ``self.__dict__``
@@ -155,9 +166,13 @@ class Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def to_dict(self) -> dict:
+        """The fields by name; ``json.dumps`` writes a tuple field as a list."""
+        return {f: getattr(self, f) for f in self._fields}
+
     def replace(self, **changes):
         """A copy with some fields changed; the constructor checks it again."""
-        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+        return type(self)(**{**self.to_dict(), **changes})
 
 
 class Arrow(Record):

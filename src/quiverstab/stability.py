@@ -175,16 +175,6 @@ def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily
 class StabilityReport(Record):
     _fields = ("semistable", "stable", "violating_support", "supports_count")
 
-    def to_dict(self) -> dict:
-        return {
-            "semistable": self.semistable,
-            "stable": self.stable,
-            "violating_support": list(self.violating_support)
-            if self.violating_support is not None
-            else None,
-            "supports_count": self.supports_count,
-        }
-
 
 def stability_report(q: Quiver, p: RepresentationPoint, chi: Character) -> StabilityReport:
     """King's test: the point is chi-semistable iff chi_S <= 0 on every
@@ -292,13 +282,7 @@ class StabilityCone(Record):
     """King's inequalities in polyhedral form: vectors v with v . chi <= 0,
     together with the equality sum(chi) = 0."""
 
-    _fields = ("n", "inequalities", "equality")
-
-    def to_dict(self) -> dict:
-        return {
-            "inequalities": [list(v) for v in self.inequalities],
-            "equality": list(self.equality),
-        }
+    _fields = ("inequalities", "equality")
 
 
 def stability_cone(fam: SupportFamily) -> StabilityCone:
@@ -306,8 +290,4 @@ def stability_cone(fam: SupportFamily) -> StabilityCone:
     vectors = {
         tuple(1 if i in s else 0 for i in range(1, fam.n + 1)) for s in fam.proper()
     }
-    return StabilityCone(
-        n=fam.n,
-        inequalities=tuple(sorted(vectors)),
-        equality=(1,) * fam.n,
-    )
+    return StabilityCone(tuple(sorted(vectors)), (1,) * fam.n)

@@ -15,7 +15,8 @@ name an annotation uses must be bound at module level, if only under
 
 No module imports an underscore name from a sibling module, or reads one
 off a sibling module it imports, except the names on ``PRIVATE_IMPORTS``:
-a private name stays the business of the module that defines it.
+a private name stays the business of the module that defines it.  And no
+module reads or sets the environment.
 """
 
 import ast
@@ -234,3 +235,28 @@ def private_imports() -> list[tuple[str, str]]:
 
 def test_no_module_imports_a_private_name_from_a_sibling():
     assert private_imports() == sorted(PRIVATE_IMPORTS)
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_reads() -> list[str]:
+    """``module:line`` for each use of ``os``'s environment functions in the
+    package, as ``os.name`` or imported by ``from os import name``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used = node.value.id == "os" and node.attr in ENVIRONMENT_NAMES
+            elif isinstance(node, ast.ImportFrom):
+                used = node.module == "os" and any(a.name in ENVIRONMENT_NAMES for a in node.names)
+            else:
+                continue
+            if used:
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_module_reads_the_environment():
+    """A command's inputs are its arguments and files."""
+    assert environment_reads() == []

@@ -96,10 +96,24 @@ class TestEntries:
             assert grading_certificate(get_entry(name).quiver).passed
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownEntryError):
-            get_entry("p3xp3")
-        with pytest.raises(UnknownEntryError):
-            get_entry("pn(0)")
+        for name in ("p3xp3", "pn(0)"):
+            with pytest.raises(UnknownEntryError) as info:
+                get_entry(name)
+            assert isinstance(info.value, ValueError)
+            assert str(info.value) == (
+                f"unknown entry {name!r}; built-ins are "
+                "p2, f1, p1xp1, p2-helix, p1xp1-spiral, pn(k)"
+            )
+
+    @pytest.mark.parametrize("name", ["pn(3)\n", "pn(\u0663)", "pn(3", "pn(-3)"])
+    def test_pn_size_is_ascii_digits(self, name):
+        with pytest.raises(UnknownEntryError, match="^unknown entry"):
+            get_entry(name)
+
+    def test_template_name_gives_a_size(self):
+        with pytest.raises(UnknownEntryError) as info:
+            get_entry("pn(k)")
+        assert str(info.value) == "'pn(k)' is a template, not an entry; give a size, e.g. pn(3)"
 
     def test_entry_names_listed(self):
         names = entry_names()

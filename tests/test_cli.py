@@ -63,9 +63,23 @@ class TestCatalogCommand:
 
         assert quiver_from_json(result.output) == get_entry("f1").quiver
 
+    UNKNOWN = (
+        "Error: unknown entry 'nope'; built-ins are p2, f1, p1xp1, p2-helix, p1xp1-spiral, pn(k)"
+    )
+
     def test_unknown_name(self, runner):
         result = runner.invoke(main, ["catalog", "nope"])
         assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == self.UNKNOWN
+
+    @pytest.mark.parametrize(
+        "args", [["cycles", "--example", "nope"], ["separate", "--example", "nope"]]
+    )
+    def test_unknown_example_lists_the_built_ins(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == self.UNKNOWN
 
     def test_list_builds_no_entry(self, runner, monkeypatch):
         def refuse(name):
@@ -602,6 +616,48 @@ class TestCyclesAndSeparate:
         assert result.exit_code == 2
 
 
+def _point(cox, fiber):
+    return {"cox": cox, "fiber": fiber}
+
+
+class TestJsonBytes:
+    """The exact stdout of JSON reports that the golden files do not cover:
+    a non-null violating support, and a run where every pair collides."""
+
+    def test_check_with_a_violating_support(self, runner):
+        args = ["check", "--example", "p2", "--chi=1,0,-1", "--taut", "1:2:3"]
+        result = runner.invoke(main, [*args, "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "{\n"
+            '  "semistable": false,\n'
+            '  "stable": false,\n'
+            '  "violating_support": [\n'
+            "    1\n"
+            "  ],\n"
+            '  "supports_count": 4,\n'
+            '  "satisfies_relations": true\n'
+            "}\n"
+        )
+
+    def test_separate_where_every_pair_collides(self, runner):
+        args = ["separate", "--example", "p2-helix", "--pairs", "2", "--max-len", "1"]
+        result = runner.invoke(main, [*args, "--seed", "0", "--format", "json"])
+        assert result.exit_code == 0
+        collisions = [
+            {
+                "first": _point(["-25/27", "-33/32", "-20/31"], "-14/33"),
+                "second": _point(["9/7", "17/35", "-39/10"], "-5/22"),
+            },
+            {
+                "first": _point(["-7/23", "20/7", "31/29"], "17/4"),
+                "second": _point(["-36", "26", "11/8"], "5/13"),
+            },
+        ]
+        expected = {"cycles": 0, "pairs": 2, "separated": 0, "collisions": collisions}
+        assert result.stdout == json.dumps(expected, indent=2) + "\n"
+
+
 class TestExtendCommand:
     def test_extend_p2(self, runner):
         result = runner.invoke(
@@ -719,6 +775,26 @@ class TestParserParity:
         assert "Traceback" not in result.output
         assert result.output.splitlines()[-1].startswith("Error: ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--example", "p2", "--chi=1_0,-1_0,0", "--taut", "1:2:3"],
+            ["check", "--example", "p2", "--chi= 1,0,-1", "--taut", "1:2:3"],
+            ["check", "--example", "p2", "--chi=-1,0,1", "--taut", "1_0:2:3"],
+            ["character", "--m", "1@1,\u0662"],
+            ["character", "--m", "1_0@1,2", "--n", "3"],
+            ["character", "--m", "1@1,2", "--n", "\u0661\u0662"],
+            ["cycles", "--example", "p2-helix", "--max-len", "1_0"],
+            ["separate", "--example", "p2-helix", "--seed", "\u0661"],
+            ["separate", "--example", "p2-helix", "--seed", " 1"],
+        ],
+    )
+    def test_integers_follow_the_number_grammar(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error: ")
+
     def test_no_arguments_lists_the_commands_and_exits_2(self, runner):
         result = runner.invoke(main, [])
         assert result.exit_code == 2
@@ -795,16 +871,6 @@ class TestQuiverFiles:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines()[-1] == "Error: bad quiver file: gg table must be n x n"
-
-    def test_catalog_env_fallback(self, runner, tmp_path, monkeypatch):
-        export = runner.invoke(main, ["catalog", "p2"])
-        (tmp_path / "mychain.json").write_text(export.output)
-        monkeypatch.setenv("QUIVERSTAB_CATALOG", str(tmp_path))
-        result = runner.invoke(
-            main, ["cycles", "--example", "mychain", "--format", "json"]
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.output)["count"] == 0
 
 
 def _cycles_on_p2_with(runner, tmp_path, field, value):

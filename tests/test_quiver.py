@@ -23,6 +23,7 @@ from quiverstab.quiver import (
     parse_monomial,
     as_fraction,
     as_int,
+    parse_int,
     quiver_from_json,
     quiver_to_json,
 )
@@ -659,17 +660,64 @@ class TestNumberRules:
 
     @pytest.mark.parametrize(
         "x,expected",
-        [(3, 3), (Fraction(-3, 4), Fraction(-3, 4)), ("-3/4", Fraction(-3, 4)), ("2", 2)],
+        [
+            (3, 3),
+            (Fraction(-3, 4), Fraction(-3, 4)),
+            ("-3/4", Fraction(-3, 4)),
+            ("2", 2),
+            ("+2", 2),
+            ("0.5", Fraction(1, 2)),
+            ("-0.25", Fraction(-1, 4)),
+            ("6/4", Fraction(3, 2)),
+        ],
     )
     def test_as_fraction_accepts_exact_values(self, x, expected):
         assert as_fraction(x) == expected
 
+    # the text grammar: an optional sign, ASCII digits, then /digits or .digits
+    NOT_IN_GRAMMAR = [
+        "inf",
+        "1E3",
+        "1_000",
+        "\u0661\u0662",  # Arabic-Indic digits
+        "\uff11",  # a fullwidth digit
+        " 1",
+        "1 ",
+        "1\n",
+        "",
+        "+",
+        "+-1",
+        "1.",
+        ".5",
+        "1/-2",
+        "1/2/3",
+        "1.5/2",
+        "0x10",
+    ]
+
     @pytest.mark.parametrize(
-        "x", [0.1, True, "1/0", "x", "nan", None, [1], {"1": 2}, "1e3", "1e999999999"]
+        "x",
+        [0.1, True, "1/0", "x", "nan", None, [1], {"1": 2}, "1e3", "1e999999999", *NOT_IN_GRAMMAR],
     )
     def test_as_fraction_raises_only_value_error(self, x):
         with pytest.raises(ValueError):
             as_fraction(x)
+
+    @pytest.mark.parametrize("x", ["0." + "1" * 5000, "1" * 5000, "x" * 5000, "1/0" + "0" * 5000])
+    def test_as_fraction_error_quotes_at_most_40_characters(self, x):
+        with pytest.raises(ValueError) as info:
+            as_fraction(x)
+        quoted = str(info.value).split(" is not ")[0]
+        assert len(quoted) <= 40 and len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("text,expected", [("0", 0), ("-7", -7), ("+12", 12), ("007", 7)])
+    def test_parse_int_accepts_signed_ascii_digits(self, text, expected):
+        assert parse_int(text) == expected
+
+    @pytest.mark.parametrize("text", ["1/2", "0.5", "x", "1e3", *NOT_IN_GRAMMAR])
+    def test_parse_int_rejects_everything_else(self, text):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_int(text)
 
 
 class TestJsonRoundTrip:

@@ -69,7 +69,7 @@ RECORDS = {
     StabilityReport: lambda: StabilityReport(False, False, (1,), 3),
     GoodCertificate: lambda: GoodCertificate(False, (1, 2)),
     GreatCertificate: lambda: GreatCertificate(False, GoodCertificate(True), (2, 1)),
-    StabilityCone: lambda: StabilityCone(2, ((1, 0),), (1, 1)),
+    StabilityCone: lambda: StabilityCone(((1, 0),), (1, 1)),
     RepresentationPoint: lambda: RepresentationPoint((("a", "1/2"), ("b", 3))),
     TorusElement: lambda: TorusElement((1, Fraction(-2, 3))),
     CatalogEntry: lambda: CatalogEntry("e", _quiver(), (("x", (1,)),), (frozenset("x"),), True),
@@ -204,6 +204,10 @@ class TestRecordContract:
         assert text.startswith(f"{cls.__name__}({first}=")
         assert all(f", {f}=" in text for f in rest)
         assert not any(f"{cache}=" in text for cache in CACHES.get(cls, ()))
+
+    def test_to_dict_gives_the_fields_in_order_and_no_cache(self, cls):
+        x = RECORDS[cls]()
+        assert list(x.to_dict().items()) == [(f, getattr(x, f)) for f in cls._fields]
 
 
 def test_equal_fields_of_two_types_are_not_equal():
