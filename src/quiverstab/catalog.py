@@ -2,11 +2,10 @@
 surfaces and projective spaces, with homogeneous-coordinate labels and
 tautological-point constructors.
 
-An entry is its Cox data: Cox variables with their degrees, the Picard
-degrees of the collection and the irrelevant locus.  Its quiver of
-sections, gg table, canonical class and spiral labels are derived from the
-Cox data, and at build time no Hom may run backward, from a later node of
-the collection to an earlier one.
+An entry is a ``ToricCollection``, the Cox data of its collection, plus a
+name and the derived quiver: the quiver of sections, gg table, canonical
+class and spiral labels come from the Cox data, and at build time no Hom
+may run backward, from a later node of the collection to an earlier one.
 """
 
 from __future__ import annotations
@@ -41,13 +40,31 @@ class IrrelevantLocusError(DomainError):
     """Coordinates land on the irrelevant locus of the toric variety."""
 
 
-class CatalogEntry(Record):
-    _fields = ("name", "quiver", "cox_variables", "forbidden_vanishing", "fiber", "description")
+class ToricCollection(Record):
+    """A collection of line bundles on a toric variety, as Cox data.
+
+    ``cox_variables`` pairs each Cox variable with its multidegree, ``pic``
+    lists the Picard degrees of the collection and ``forbidden_vanishing``
+    the irrelevant locus; ``fiber`` marks a collection on the total space of
+    the canonical bundle.
+    """
+
+    _fields = ("cox_variables", "pic", "forbidden_vanishing", "fiber", "description")
     _defaults = {"fiber": False, "description": ""}
 
     @property
     def var_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.cox_variables)
+
+    @property
+    def degrees(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(d for _, d in self.cox_variables)
+
+
+class CatalogEntry(ToricCollection):
+    """A named collection with its derived quiver."""
+
+    _fields = ("name", "quiver", *ToricCollection._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +132,15 @@ def monomials_of_degree(
 # ---------------------------------------------------------------------------
 
 
-class _Spec(Record):
-    """The Cox data of one entry, from which the builder derives its quiver.
-
-    ``variables`` pairs each Cox variable with its multidegree, ``pic``
-    lists the Picard degrees of the collection and ``forbidden`` the
-    irrelevant locus; ``fiber`` marks an entry on the total space of the
-    canonical bundle.  The gg table is derived, not given.
-    """
-
-    _fields = ("description", "variables", "pic", "forbidden", "fiber")
-    _defaults = {"fiber": False}
-
-
-def _pn(dim: int) -> _Spec:
+def _pn(dim: int) -> ToricCollection:
     """O, O(1), ..., O(dim) on P^dim; the simple-helix chain quiver."""
     n = dim + 1
     xs = tuple(f"x{k}" for k in range(n))
-    return _Spec(
-        description=f"O..O({dim}) on P^{dim}",
-        variables=tuple((x, (1,)) for x in xs),
+    return ToricCollection(
+        cox_variables=tuple((x, (1,)) for x in xs),
         pic=tuple((k,) for k in range(n)),
-        forbidden=(frozenset(xs),),
+        forbidden_vanishing=(frozenset(xs),),
+        description=f"O..O({dim}) on P^{dim}",
     )
 
 
@@ -148,27 +152,27 @@ _SPECS = {
     "p2": _pn(2),
     # O, O(D), O(H), O(2H) on the Hirzebruch surface F1, in the (H, D) basis;
     # only Hom(E_1, E_2) = O(D) fails to be generated by global sections
-    "f1": _Spec(
-        description="O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
-        variables=(("t1", (1, -1)), ("t2", (0, 1)), ("t3", (1, -1)), ("t4", (1, 0))),
+    "f1": ToricCollection(
+        cox_variables=(("t1", (1, -1)), ("t2", (0, 1)), ("t3", (1, -1)), ("t4", (1, 0))),
         pic=((0, 0), (0, 1), (1, 0), (2, 0)),
-        forbidden=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
+        forbidden_vanishing=(frozenset({"t1", "t3"}), frozenset({"t2", "t4"})),
+        description="O, O(D), O(H), O(2H) on the blow-up of P^2 at a point",
     ),
-    "p1xp1": _Spec(
-        description="O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
-        variables=_P1XP1_VARIABLES,
+    "p1xp1": ToricCollection(
+        cox_variables=_P1XP1_VARIABLES,
         pic=((0, 0), (0, 1), (1, 0), (1, 1)),
-        forbidden=_P1XP1_FORBIDDEN,
+        forbidden_vanishing=_P1XP1_FORBIDDEN,
+        description="O, O(0,1), O(1,0), O(1,1) on P^1 x P^1",
     ),
     "p2-helix": _pn(2).replace(
         description="helix extension of the P^2 chain on tot(K)", fiber=True
     ),
-    "p1xp1-spiral": _Spec(
-        description="spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
-        variables=_P1XP1_VARIABLES,
+    "p1xp1-spiral": ToricCollection(
+        cox_variables=_P1XP1_VARIABLES,
         pic=((0, 0), (1, 0), (1, 1), (2, 1)),
-        forbidden=_P1XP1_FORBIDDEN,
+        forbidden_vanishing=_P1XP1_FORBIDDEN,
         fiber=True,
+        description="spiral extension of O, O(1,0), O(1,1), O(2,1) on tot(K)",
     ),
 }
 _PN_DESCRIPTION = "O..O(k) on P^k, any k >= 1"
@@ -177,29 +181,27 @@ TEMPLATES = {"pn(k)": "pn(3)"}
 _PN_RE = re.compile(r"pn\(([0-9]+)\)")
 
 
-def _sections(spec: _Spec) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+def _sections(spec: ToricCollection) -> dict[tuple[int, int], list[tuple[int, ...]]]:
     """``(j, i)`` -> the exponent vectors of the monomials of degree
     pic(E_j) - pic(E_i), a basis of Hom(E_i, E_j), for all nodes i != j."""
-    degrees = [d for _, d in spec.variables]
     return {
-        (j, i): monomials_of_degree(degrees, tuple(a - b for a, b in zip(pic_j, pic_i)))
+        (j, i): monomials_of_degree(spec.degrees, tuple(a - b for a, b in zip(pic_j, pic_i)))
         for j, pic_j in enumerate(spec.pic, 1)
         for i, pic_i in enumerate(spec.pic, 1)
         if i != j
     }
 
 
-def _labels(spec: _Spec, monomials: Sequence[tuple[int, ...]]) -> list[str]:
+def _labels(spec: ToricCollection, monomials: Sequence[tuple[int, ...]]) -> list[str]:
     """Monomials by total degree, then by exponent vector descending, each
     written in variable order as ``v`` or ``v^e`` joined by ``*``."""
-    names = [v for v, _ in spec.variables]
     return [
-        "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+        "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(spec.var_names, exps) if e)
         for exps in sorted(sorted(monomials, reverse=True), key=sum)
     ]
 
 
-def _weight_zero_quiver(spec: _Spec, sections) -> Quiver:
+def _weight_zero_quiver(spec: ToricCollection, sections) -> Quiver:
     """The quiver of sections: for nodes ``t < s``, the arrows ``s -> t``
     are the sections of pic(E_s) - pic(E_t) that no label of an arrow
     ``k -> t`` with ``t < k < s`` divides, i.e. that factor through no node
@@ -221,14 +223,14 @@ def _weight_zero_quiver(spec: _Spec, sections) -> Quiver:
             into[t] += level
             labels = enumerate(_labels(spec, level), 1)
             arrows += (Arrow(f"a{s}{t}_{k}", s, t, label=label) for k, label in labels)
-    names = [v for v, _ in spec.variables]
-    faces = [[k for k, v in enumerate(names) if v not in h] for h in product(*spec.forbidden)]
+    names, forbidden = spec.var_names, spec.forbidden_vanishing
+    faces = [[k for k, v in enumerate(names) if v not in h] for h in product(*forbidden)]
 
     def generated(j: int, i: int) -> bool:
         return all(any(not any(e[k] for k in f) for e in sections[j, i]) for f in faces)
 
     gg = tuple(tuple(i == j or generated(j, i) for j in nodes) for i in nodes)
-    canonical = tuple(-sum(col) for col in zip(*(d for _, d in spec.variables)))
+    canonical = tuple(-sum(col) for col in zip(*spec.degrees))
     return Quiver(len(nodes), tuple(arrows), (), gg, spec.pic, canonical)
 
 
@@ -252,7 +254,7 @@ def _check_hom_dimensions(name: str, sections) -> None:
             )
 
 
-def _build(name: str, spec: _Spec) -> CatalogEntry:
+def _build(name: str, spec: ToricCollection) -> CatalogEntry:
     """The entry of a spec: its weight-zero quiver with derived relations,
     or that quiver spiral-extended by every monomial of the spiral degree.
     One list of sections per node pair feeds the backward Hom check, the
@@ -266,16 +268,9 @@ def _build(name: str, spec: _Spec) -> CatalogEntry:
         from .helix import extend_spiral, spiral_degree
 
         degree = spiral_degree(base.pic, base.canonical)
-        labels = _labels(spec, monomials_of_degree([d for _, d in spec.variables], degree))
+        labels = _labels(spec, monomials_of_degree(spec.degrees, degree))
         q = extend_spiral(base, len(labels), labels=labels)
-    return CatalogEntry(
-        name=name,
-        quiver=q,
-        cox_variables=spec.variables,
-        forbidden_vanishing=spec.forbidden,
-        fiber=spec.fiber,
-        description=spec.description,
-    )
+    return CatalogEntry(name, q, **spec.to_dict())
 
 
 def entry_names() -> list[str]:
@@ -294,11 +289,12 @@ def get_entry(name: str) -> CatalogEntry:
         return _build(name, _SPECS[name])
     if name in TEMPLATES:
         raise UnknownEntryError(
-            f"{name!r} is a template, not an entry; give a size, e.g. {TEMPLATES[name]}"
+            f"{name!r:.40} is a template, not an entry; give a size, e.g. {TEMPLATES[name]}"
         )
     m = _PN_RE.fullmatch(name)
     if m is None or int(m.group(1)) < 1:
-        raise UnknownEntryError(f"unknown entry {name!r}; built-ins are {', '.join(entry_names())}")
+        built_ins = ", ".join(entry_names())
+        raise UnknownEntryError(f"unknown entry {name!r:.40}; built-ins are {built_ins}")
     dim = int(m.group(1))
     canonical = "p2" if dim == 2 else f"pn({dim})"
     if name != canonical:  # the cache keys on the spelling: "pn(2)" must not build p2 again
@@ -407,7 +403,7 @@ def canonical_geometric_form(entry: CatalogEntry, cox_values, fiber_value=None):
     """
     vals = _coerce_cox(entry, cox_values)
     check_irrelevant_locus(entry, vals)
-    rank = len(entry.cox_variables[0][1])
+    rank = len(entry.degrees[0])
     scales = []
     for g in range(rank):
         unit = tuple(1 if k == g else 0 for k in range(rank))

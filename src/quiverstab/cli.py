@@ -62,7 +62,7 @@ def _parse_chi(q, chi: str | None, chi_file: str | None) -> st.Character:
         try:
             character = st.Character([qv.parse_int(x) for x in chi.split(",")])
         except ValueError as exc:
-            raise UsageError(f"bad character {chi!r}: {exc}")
+            raise UsageError(f"bad character {chi!r:.40}: {exc}")
     if character.n != q.n:
         raise UsageError(f"character length {character.n} != quiver nodes {q.n}")
     return character
@@ -87,7 +87,7 @@ def _parse_weights(n: int | None, m_entries, m_file: str | None) -> st.WeightMat
             i, j = (qv.parse_int(x) for x in pair.split(","))
             entries[(i, j)] = entries.get((i, j), 0) + qv.parse_int(value)
         except ValueError:
-            raise UsageError(f"bad weight entry {spec!r}; expected like 1@1,4")
+            raise UsageError(f"bad weight entry {spec!r:.40}; expected like 1@1,4")
     if n is None:
         if not entries:
             raise UsageError("give --n when no weight entries are supplied")
@@ -173,7 +173,7 @@ def _at_least_one(text: str) -> int:
     """The type of the options that count or size something."""
     value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+        raise argparse.ArgumentTypeError(f"{text!r:.40} is not an integer >= 1")
     return value
 
 

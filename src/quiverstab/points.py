@@ -42,10 +42,10 @@ class RepresentationPoint(Record):
     def for_quiver(cls, q: Quiver, values: Mapping[str, object]) -> "RepresentationPoint":
         missing = {a.id for a in q.arrows} - set(values)
         if missing:
-            raise PointError(f"missing values for arrows {sorted(missing)}")
+            raise PointError(f"missing values for arrows {sorted(missing)!r:.40}")
         extra = set(values) - {a.id for a in q.arrows}
         if extra:
-            raise PointError(f"values for unknown arrows {sorted(extra)}")
+            raise PointError(f"values for unknown arrows {sorted(extra)!r:.40}")
         return cls.from_mapping(values)
 
     def value(self, arrow_id: str) -> Fraction:

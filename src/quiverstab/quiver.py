@@ -44,7 +44,7 @@ def parse_monomial(text: str) -> dict[str, int]:
     for term in text.split("*"):
         m = _TERM_RE.match(term.strip())
         if m is None:
-            raise QuiverError(f"malformed monomial {text!r}: bad term {term!r}")
+            raise QuiverError(f"malformed monomial {text!r:.40}: bad term {term!r:.40}")
         var, exp = m.group(1), int(m.group(2) or "1")
         exps[var] = exps.get(var, 0) + exp
     return exps
@@ -577,7 +577,7 @@ def _relation_from_dict(rel: Mapping, by_id: Mapping[str, Arrow]) -> Relation:
     for t in rel["terms"]:
         ids = t["path"]
         if not ids or not all(x in by_id for x in ids):
-            raise ValueError(f"path {ids!r} is empty or names an arrow not in the quiver")
+            raise ValueError(f"path {ids!r:.40} is empty or names an arrow not in the quiver")
         arrows = [by_id[x] for x in ids]
         terms.append((t["coeff"], Path(arrows[0].source, arrows)))
     return Relation(tuple(terms))

@@ -38,7 +38,7 @@ class Character(Record):
         if not chi:
             raise ValueError("character needs at least one node")
         if sum(chi) != 0:
-            raise ValueError(f"character {chi} does not satisfy sum(chi) = 0")
+            raise ValueError(f"character {chi!r:.40} does not satisfy sum(chi) = 0")
 
     @property
     def n(self) -> int:

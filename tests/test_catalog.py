@@ -183,7 +183,7 @@ def _random_specs(base, count, box, seed):
     of 2-4 distinct Picard degrees in ``box``, each list drawn once."""
     rng = random.Random(seed)
     spec = _SPECS[base]
-    degrees = list(product(box, repeat=len(spec.variables[0][1])))
+    degrees = list(product(box, repeat=len(spec.cox_variables[0][1])))
     seen = set()
     while len(seen) < count:
         pic = tuple(rng.sample(degrees, rng.randint(2, 4)))
@@ -200,7 +200,7 @@ class TestHomDimensions:
     @pytest.mark.parametrize("name", sorted(WEIGHT_ZERO_SPECS))
     def test_same_verdicts_as_node_pair_walks(self, name):
         q, sections = _weight_zero(name)
-        variables = WEIGHT_ZERO_SPECS[name].variables
+        variables = WEIGHT_ZERO_SPECS[name].cox_variables
         assert _verdict(_check_hom_dimensions, name, sections) == "passes"
         assert _verdict(hom_check_by_node_pairs, name, q, variables) == "passes"
         # self-test of the oracle: some arrow is needed for the full Hom
@@ -223,7 +223,8 @@ class TestHomDimensions:
             sections = _sections(spec)
             verdict = _verdict(_check_hom_dimensions, base, sections)
             if verdict == "passes":
-                hom_check_by_node_pairs(base, _weight_zero_quiver(spec, sections), spec.variables)
+                q = _weight_zero_quiver(spec, sections)
+                hom_check_by_node_pairs(base, q, spec.cox_variables)
             verdicts[verdict == "passes"] += 1
         assert verdicts[True] >= 10 and verdicts[False] >= 10
 
@@ -238,7 +239,7 @@ class TestHomDimensions:
         q = q.replace(arrows=tuple(a for a in q.arrows if a.id != "a43_3"))
         message = "f1: paths 4->1 span 5 monomials, Hom dimension is 6"
         with pytest.raises(QuiverError, match=message):
-            hom_check_by_node_pairs("f1", q, _SPECS["f1"].variables)
+            hom_check_by_node_pairs("f1", q, _SPECS["f1"].cox_variables)
 
     def test_p1xp1_spiral_without_a_level_fails(self):
         # Hom(O(1,0), O(1,1)) = O(0,1) has two sections, and no path is left from 3 to 1
@@ -247,7 +248,7 @@ class TestHomDimensions:
         q = q.replace(arrows=arrows, gg=None)
         message = "p1xp1-spiral: paths 3->1 span 0 monomials, Hom dimension is 4"
         with pytest.raises(QuiverError, match=message):
-            hom_check_by_node_pairs("p1xp1-spiral", q, _SPECS["p1xp1-spiral"].variables)
+            hom_check_by_node_pairs("p1xp1-spiral", q, _SPECS["p1xp1-spiral"].cox_variables)
 
 
 def _written_pn(dim):

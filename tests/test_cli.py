@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -710,6 +711,50 @@ class TestExtendCommand:
         assert result.exit_code == 2
         last = result.output.splitlines()[-1]
         assert last.startswith("Error: ") and "'x*'" in last
+
+
+LONG_INPUTS = {
+    "chi-ending-x": ["check", "--example", "p2", "--chi=" + "1," * 2999 + "x", "--taut", "1:2:3"],
+    "chi-sum": ["check", "--example", "p2", "--chi=" + ",".join("1" * 3001), "--taut", "1:2:3"],
+    "chi-file-sum": ["check", "--example", "p2", "--chi-file", "chi.json", "--taut", "1:2:3"],
+    "catalog-name": ["catalog", "p" * 5000],
+    "extend-label": ["extend", "--example", "p2", "--added-dim", "1", "--labels", "x" * 5000 + "*"],
+    "certify-m": ["certify", "--example", "p2", "--m", "1@1," + "1" * 3000 + "x"],
+    "character-n": ["character", "--n", "-" + "0" * 3000],
+    "point-missing": "check --example pn(6) --chi=0,0,0,0,0,0,0 --point point.json".split(),
+}
+LONG_INPUT_FILES = {"chi.json": {"chi": [1] * 3001}, "point.json": {"values": {}}}
+
+
+@pytest.mark.parametrize("args", LONG_INPUTS.values(), ids=LONG_INPUTS)
+def test_error_line_quotes_a_long_input_short(runner, tmp_path, args):
+    """An error quotes at most 40 characters of each input value, so its line
+    stays short however long the value."""
+    for name, data in LONG_INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    args = [str(tmp_path / a) if a in LONG_INPUT_FILES else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output and result.stdout == ""
+    last = result.output.splitlines()[-1]
+    assert last.startswith("Error:") and len(last) <= 200, len(last)
+
+
+def test_every_quoted_value_in_cli_is_cut_at_40_characters():
+    """Each ``!r`` conversion in an f-string of ``cli.py`` carries a precision
+    of at most 40, as ``quiver.as_fraction``'s messages do."""
+    import quiverstab.cli as cli
+
+    unbounded = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+            spec = node.format_spec.values if node.format_spec else []
+            text = "".join(v.value for v in spec if isinstance(v, ast.Constant))
+            bounded = len(spec) == 1 and re.fullmatch(r"\.[0-9]+", text)
+            if not bounded or int(text[1:]) > 40:
+                unbounded.append(f"line {node.lineno}: {ast.unparse(node.value)}")
+    assert unbounded == []
 
 
 def test_exit_codes_are_decided_in_run_alone():

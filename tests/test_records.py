@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverstab.catalog import CatalogEntry, _pn, _Spec
+from quiverstab.catalog import _SPECS, CatalogEntry, ToricCollection, _pn, get_entry
 from quiverstab.helix import DegreeCheck
 from quiverstab.invariants import SeparationReport
 from quiverstab.points import PointError, RepresentationPoint, TorusElement
@@ -72,8 +72,10 @@ RECORDS = {
     StabilityCone: lambda: StabilityCone(((1, 0),), (1, 1)),
     RepresentationPoint: lambda: RepresentationPoint((("a", "1/2"), ("b", 3))),
     TorusElement: lambda: TorusElement((1, Fraction(-2, 3))),
-    CatalogEntry: lambda: CatalogEntry("e", _quiver(), (("x", (1,)),), (frozenset("x"),), True),
-    _Spec: lambda: _pn(2),
+    CatalogEntry: lambda: CatalogEntry(
+        "e", _quiver(), (("x", (1,)),), ((0,), (1,), (2,)), (frozenset("x"),), True
+    ),
+    ToricCollection: lambda: _pn(2),
     SeparationReport: lambda: SeparationReport(3, 2, 2, ()),
     DegreeCheck: lambda: DegreeCheck(True, (1,), (1,)),
 }
@@ -111,8 +113,33 @@ def _only_stores_its_parameters(init: ast.FunctionDef) -> bool:
     )
 
 
+def _subclasses(cls) -> set[type]:
+    """Every subclass of ``cls``, however indirect."""
+    direct = set(cls.__subclasses__())
+    return direct.union(*map(_subclasses, direct))
+
+
 def test_every_record_type_is_covered():
-    assert set(Record.__subclasses__()) == set(TYPES)
+    assert _subclasses(Record) == set(TYPES)
+
+
+def test_cox_data_is_declared_once():
+    """In the catalog, ``ToricCollection`` alone declares the Cox fields; an
+    entry extends it with a name and a quiver and declares nothing else.
+    (A ``Quiver`` keeps its own ``pic``: a quiver file has no Cox data.)"""
+    cox = set(ToricCollection._fields)
+    catalog = [cls for cls in TYPES if cls.__module__ == ToricCollection.__module__]
+    declares = [cls for cls in catalog if cox & set(cls._fields) - set(cls.__base__._fields)]
+    assert declares == [ToricCollection]
+    assert CatalogEntry._fields == ("name", "quiver", *ToricCollection._fields)
+    assert set(vars(CatalogEntry)) == {"__module__", "__doc__", "_fields"}
+
+
+@pytest.mark.parametrize("name", [*_SPECS, *(f"pn({k})" for k in range(1, 5))])
+def test_an_entry_is_its_table_row_plus_a_name_and_a_quiver(name):
+    row = _SPECS[name] if name in _SPECS else _pn(int(name[3:-1]))
+    entry = get_entry(name)
+    assert ToricCollection(**{f: getattr(entry, f) for f in ToricCollection._fields}) == row
 
 
 def test_no_record_constructor_only_stores_its_parameters():
