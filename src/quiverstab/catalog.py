@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import le
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -179,6 +180,15 @@ _PN_DESCRIPTION = "O..O(k) on P^k, any k >= 1"
 # Listed names that stand for a family of entries, each with a buildable instance.
 TEMPLATES = {"pn(k)": "pn(3)"}
 _PN_RE = re.compile(r"pn\(([0-9]+)\)")
+# The most forward sections a pn(k) build may enumerate: pn(8) has 43,749
+# and builds in a few seconds and under 100 MB; pn(9) has 167,950.
+PN_SECTION_LIMIT = 50_000
+
+
+def _pn_sections(dim: int) -> int:
+    """The forward sections of pn(dim), counted without listing them: a gap
+    of d nodes occurs dim + 1 - d times, with C(d + dim, dim) monomials."""
+    return sum((dim + 1 - d) * comb(d + dim, dim) for d in range(1, dim + 1))
 
 
 def _sections(spec: ToricCollection) -> dict[tuple[int, int], list[tuple[int, ...]]]:
@@ -284,7 +294,9 @@ def entry_description(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def get_entry(name: str) -> CatalogEntry:
-    """The entry of a built-in name or of a template's instance, such as ``pn(3)``."""
+    """The entry of a built-in name or of a template's instance, such as
+    ``pn(3)``.  A ``pn(k)`` with more than ``PN_SECTION_LIMIT`` forward
+    sections raises ``DomainError`` before anything is built."""
     if name in _SPECS:
         return _build(name, _SPECS[name])
     if name in TEMPLATES:
@@ -296,6 +308,13 @@ def get_entry(name: str) -> CatalogEntry:
         built_ins = ", ".join(entry_names())
         raise UnknownEntryError(f"unknown entry {name!r:.40}; built-ins are {built_ins}")
     dim = int(m.group(1))
+    # the count grows about fourfold a size: past 30, that of pn(30) is named
+    sections = _pn_sections(min(dim, 30))
+    if sections > PN_SECTION_LIMIT:
+        raise DomainError(
+            f"{name!r:.40} has {'over ' if dim > 30 else ''}{sections:,} forward sections, "
+            f"more than the limit of {PN_SECTION_LIMIT:,}"
+        )
     canonical = "p2" if dim == 2 else f"pn({dim})"
     if name != canonical:  # the cache keys on the spelling: "pn(2)" must not build p2 again
         return get_entry(canonical)

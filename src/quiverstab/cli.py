@@ -35,7 +35,9 @@ def _read_json(path, what: str, build):
     as ``bad {what}``."""
     try:
         return build(json.loads(FsPath(path).read_text()))
-    except (LookupError, OSError, RecursionError, TypeError, ValueError) as exc:
+    except OSError as exc:  # str(exc) names the whole path
+        raise UsageError(f"bad {what}: [Errno {exc.errno}] {exc.strerror}: {path!r:.40}")
+    except (LookupError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"bad {what}: {exc}")
 
 
@@ -126,12 +128,13 @@ def _emit(result: dict, text_lines: list[str], fmt: str):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ``argparse`` parser that differs from the default in three ways.
+    """An ``argparse`` parser that differs from the default in four ways.
 
     The token after an option that takes a value is that value, even when it
     starts with a dash (``--chi -1,0,1``, ``--fiber -1/2``); long options
-    are never abbreviated; and a parse error exits 2 with the usage and a
-    last line ``Error: <message>``."""
+    are never abbreviated; a parse error exits 2 with the usage and a last
+    line ``Error: <message>``; and that message quotes at most 40
+    characters of a bad choice."""
 
     def __init__(self, *args, **kwargs):
         self.value_options: set[str] = set()
@@ -155,6 +158,14 @@ class _Parser(argparse.ArgumentParser):
             else:
                 joined.append(token)
         return super().parse_known_args(joined, namespace)
+
+    def _check_value(self, action, value):
+        # argparse's own message, quoting at most 40 characters of the value
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r:.40} (choose from {choices})"
+            )
 
     def error(self, message):
         usage = self.format_usage().removeprefix("usage: ")
@@ -450,7 +461,7 @@ def _run(args: list[str]) -> None:
     command, run = options.pop("command"), options.pop("run")
     parser = _COMMANDS.choices[command]
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        parser.error(f"unrecognized arguments: {' '.join(extra):.40}")
     try:
         run(**options)
     except qv.DomainError as exc:

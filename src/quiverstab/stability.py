@@ -11,7 +11,7 @@ supports.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .quiver import DomainError, Quiver, QuiverError, Record, _reachable, as_int
 
@@ -125,6 +125,36 @@ def _nonzero_arrows(q: Quiver, p: RepresentationPoint):
     return [a for a in q.arrows if p.value(a.id) != 0]
 
 
+def _nodes(mask: int) -> tuple[int, ...]:
+    """The 1-indexed nodes of a mask, in increasing order."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _closed_masks(q: Quiver, p: RepresentationPoint) -> Iterator[int]:
+    """Every node set that no nonzero arrow leaves, as a mask with node i at
+    bit i - 1, in increasing order; the cap is checked on the call.  Each of
+    the 2^n masks is tested: it is closed unless some node in it has a head
+    mask (the targets of its nonzero arrows) with a bit outside it."""
+    if q.n > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"subset enumeration over {q.n} nodes exceeds the cap of {ENUMERATION_CAP}"
+        )
+    heads = [0] * q.n
+    for a in _nonzero_arrows(q, p):
+        heads[a.source - 1] |= 1 << (a.target - 1)
+    nodes = [(1 << i, head) for i, head in enumerate(heads) if head]
+
+    def closed() -> Iterator[int]:
+        for mask in range(1 << q.n):
+            for bit, head in nodes:
+                if mask & bit and head & ~mask:
+                    break
+            else:
+                yield mask
+
+    return closed()
+
+
 def subrep_supports(q: Quiver, p: RepresentationPoint, warn: bool = True) -> SupportFamily:
     """Exact support family via enumeration of all 2^n node subsets, for
     n <= ENUMERATION_CAP.
@@ -133,22 +163,13 @@ def subrep_supports(q: Quiver, p: RepresentationPoint, warn: bool = True) -> Sup
     warning.  ``stability_report`` passes ``warn=False``: the supports do
     not depend on the relations, and callers that care check them once.
     """
-    if q.n > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"subset enumeration over {q.n} nodes exceeds the cap of {ENUMERATION_CAP}"
-        )
+    masks = _closed_masks(q, p)
     if warn:
         from .points import satisfies_relations
 
         if not satisfies_relations(q, p):
             warnings.warn("point does not satisfy the quiver relations", stacklevel=2)
-    nonzero = _nonzero_arrows(q, p)
-    supports = []
-    for bits in range(1 << q.n):
-        s = frozenset(i + 1 for i in range(q.n) if bits >> i & 1)
-        if all(not (a.source in s and a.target not in s) for a in nonzero):
-            supports.append(s)
-    return SupportFamily(q.n, frozenset(supports))
+    return SupportFamily(q.n, frozenset(frozenset(_nodes(m)) for m in masks))
 
 
 def supports_from_generators(q: Quiver, p: RepresentationPoint) -> SupportFamily:
@@ -176,20 +197,32 @@ class StabilityReport(Record):
     _fields = ("semistable", "stable", "violating_support", "supports_count")
 
 
+def _canonically_before(a: int, b: int) -> bool:
+    """Whether mask a precedes b in canonical order (sorted node tuples)."""
+    low = (a ^ b) & -(a ^ b)  # the least node in exactly one of them
+    return b >= low << 1 if a & low else a < low
+
+
 def stability_report(q: Quiver, p: RepresentationPoint, chi: Character) -> StabilityReport:
     """King's test: the point is chi-semistable iff chi_S <= 0 on every
     support, and chi-stable iff chi_S < 0 on every proper one.
 
     The witness ``violating_support`` is the first proper support, in
-    canonical order, with chi_S > 0.
+    canonical order, with chi_S > 0.  The supports are streamed from the
+    mask enumeration, never collected.
     """
     if chi.n != q.n:
         raise ValueError(f"character length {chi.n} != n = {q.n}")
-    fam = subrep_supports(q, p, warn=False)
-    values = [(chi.of_subset(s), s) for s in fam.proper()]
-    violating = next((tuple(sorted(s)) for v, s in values if v > 0), None)
-    stable = all(v < 0 for v, _ in values)
-    return StabilityReport(violating is None, stable, violating, len(fam.supports))
+    masks, full = _closed_masks(q, p), (1 << q.n) - 1
+    count, stable, witness = 0, True, None
+    for m in masks:
+        count += 1
+        if 0 < m < full and (v := sum(c for i, c in enumerate(chi.chi) if m >> i & 1)) >= 0:
+            stable = False
+            if v > 0 and (witness is None or _canonically_before(m, witness)):
+                witness = m
+    violating = None if witness is None else _nodes(witness)
+    return StabilityReport(witness is None, stable, violating, count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """In-process runs of the command line, for the CLI and golden tests; the
 all-paths walk the oracles of the catalog and cycle tests are built on; a
-reachability oracle over the arrow list; and the all-zero point and weight
-matrix."""
+reachability oracle over the arrow list; a support oracle over node
+frozensets; and the all-zero point and weight matrix."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +12,7 @@ import pytest
 
 from quiverstab.points import RepresentationPoint
 from quiverstab.quiver import Arrow, Path, Quiver, QuiverError
-from quiverstab.stability import WeightMatrix
+from quiverstab.stability import SupportFamily, WeightMatrix
 
 
 @dataclass
@@ -96,6 +96,19 @@ def bfs_has_path(q, src, dst):
         seen.add(v)
         frontier.extend(a.target for a in q.arrows if a.source == v)
     return False
+
+
+def supports_by_subsets(q: Quiver, p: RepresentationPoint) -> SupportFamily:
+    """Oracle: every one of the 2^n node subsets, built as a frozenset, is a
+    support when no nonzero arrow has its source in it and its target
+    outside."""
+    nonzero = [a for a in q.arrows if p.value(a.id) != 0]
+    supports = []
+    for bits in range(1 << q.n):
+        s = frozenset(i + 1 for i in range(q.n) if bits >> i & 1)
+        if all(not (a.source in s and a.target not in s) for a in nonzero):
+            supports.append(s)
+    return SupportFamily(q.n, frozenset(supports))
 
 
 def zero_point(q: Quiver) -> RepresentationPoint:

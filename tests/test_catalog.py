@@ -8,11 +8,13 @@ from conftest import enumerate_paths
 
 from quiverstab.catalog import (
     _SPECS,
+    PN_SECTION_LIMIT,
     IrrelevantLocusError,
     UnknownEntryError,
     _build,
     _check_hom_dimensions,
     _pn,
+    _pn_sections,
     _sections,
     _weight_zero_quiver,
     canonical_geometric_form,
@@ -26,7 +28,13 @@ from quiverstab.catalog import (
     tautological_point,
 )
 from quiverstab.points import satisfies_relations, vanishing_pattern
-from quiverstab.quiver import QuiverError, grading_certificate, monomial_key, parse_monomial
+from quiverstab.quiver import (
+    DomainError,
+    QuiverError,
+    grading_certificate,
+    monomial_key,
+    parse_monomial,
+)
 
 ALL_NAMES = ["p2", "f1", "p1xp1", "p2-helix", "p1xp1-spiral", "pn(3)"]
 
@@ -114,6 +122,27 @@ class TestEntries:
         with pytest.raises(UnknownEntryError) as info:
             get_entry("pn(k)")
         assert str(info.value) == "'pn(k)' is a template, not an entry; give a size, e.g. pn(3)"
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_pn_section_count_is_its_forward_sections(self, dim):
+        sections = _sections(_pn(dim))
+        assert _pn_sections(dim) == sum(len(v) for (j, i), v in sections.items() if j > i)
+
+    def test_pn_section_limit_admits_pn8_only(self):
+        assert _pn_sections(8) == 43_749 <= PN_SECTION_LIMIT < _pn_sections(9) == 167_950
+
+    @pytest.mark.parametrize("name", ["pn(9)", "pn(12)", "pn(012)", "pn(30)", "pn(" + "9" * 99 + ")"])
+    def test_large_pn_is_refused_before_building(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"built {name}")
+
+        monkeypatch.setattr("quiverstab.catalog._build", refuse)
+        with pytest.raises(DomainError, match=r"forward sections, more than the limit of 50,000$"):
+            get_entry(name)
+
+    def test_pn7_builds(self):
+        q = get_entry("pn(7)").quiver
+        assert (q.n, len(q.relations)) == (8, 168)
 
     def test_entry_names_listed(self):
         names = entry_names()

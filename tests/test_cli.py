@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,17 @@ class TestCatalogCommand:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines()[-1] == self.UNKNOWN
+
+    def test_large_pn_exits_1_at_once(self, runner):
+        zeros = ",".join("0" * 13)
+        args = ["check", "--example", "pn(12)", f"--chi={zeros}", "--taut", ":".join("1" * 13)]
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == (
+            "Error: 'pn(12)' has 9,657,687 forward sections, more than the limit of 50,000"
+        )
 
     def test_list_builds_no_entry(self, runner, monkeypatch):
         def refuse(name):
@@ -722,6 +734,10 @@ LONG_INPUTS = {
     "certify-m": ["certify", "--example", "p2", "--m", "1@1," + "1" * 3000 + "x"],
     "character-n": ["character", "--n", "-" + "0" * 3000],
     "point-missing": "check --example pn(6) --chi=0,0,0,0,0,0,0 --point point.json".split(),
+    "format-choice": ["catalog", "--format", "x" * 3000],
+    "command-name": ["x" * 3000],
+    "unrecognized-argument": ["catalog", "f1", "x" * 3000],
+    "file-name": ["cycles", "--quiver", "x" * 3000],
 }
 LONG_INPUT_FILES = {"chi.json": {"chi": [1] * 3001}, "point.json": {"values": {}}}
 

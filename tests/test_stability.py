@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import bfs_has_path, zero_point, zero_weights
+from conftest import bfs_has_path, supports_by_subsets, zero_point, zero_weights
 
 from quiverstab.catalog import get_entry, sample_cox_values, tautological_point
 from quiverstab.points import PointError, RepresentationPoint, TorusElement, torus_act
@@ -10,6 +11,7 @@ from quiverstab.quiver import Arrow, Quiver, QuiverError
 from quiverstab.stability import (
     Character,
     EnumerationCapError,
+    StabilityReport,
     SupportFamily,
     WeightMatrix,
     certify_good,
@@ -251,6 +253,83 @@ class TestStability:
             cox = sample_cox_values(F1, rng)
             p = tautological_point(F1, cox)
             assert stability_report(F1.quiver, p, chi).stable
+
+
+def random_oracle_case(rng):
+    """A quiver on 1..10 nodes whose arrows join random nodes, so parallel
+    arrows, self-loops and cycles all occur; a point that is all zero, all
+    nonzero or mixed; and a character with entries in -2..2, so chi_S = 0
+    ties are common."""
+    n = rng.randint(1, 10)
+    arrows = []
+    for k in range(rng.randint(0, 2 * n)):
+        if arrows and rng.random() < 0.2:
+            source, target = arrows[-1].source, arrows[-1].target
+        else:
+            source, target = rng.randint(1, n), rng.randint(1, n)
+        arrows.append(Arrow(f"a{k}", source, target))
+    q = Quiver(n=n, arrows=tuple(arrows))
+    zero_prob = rng.choice([0.0, 1.0, 0.3, 0.6])
+    p = random_point(q, rng, zero_prob)
+    chi = [rng.randint(-2, 2) for _ in range(n - 1)]
+    return q, p, Character((*chi, -sum(chi)))
+
+
+class TestEnumerationOracle:
+    """The mask enumeration against the frozenset loop and the generator
+    closure, on 2,000 random quivers in eight seeded blocks."""
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_supports_and_reports(self, block):
+        rng = random.Random(f"oracle-{block}")
+        seen = set()
+        for _ in range(250):
+            q, p, chi = random_oracle_case(rng)
+            reference = supports_by_subsets(q, p)
+            assert subrep_supports(q, p, warn=False) == reference
+            assert supports_from_generators(q, p) == reference
+            proper = reference.proper()
+            values = [chi.of_subset(s) for s in proper]
+            positive = [tuple(sorted(s)) for s, v in zip(proper, values) if v > 0]
+            expected = StabilityReport(
+                not positive,
+                all(v < 0 for v in values),
+                positive[0] if positive else None,
+                len(reference.supports),
+            )
+            assert stability_report(q, p, chi) == expected
+            ends = [(a.source, a.target) for a in q.arrows]
+            nonzero = [a for a in q.arrows if p.value(a.id) != 0]
+            seen.update(
+                feature
+                for feature, present in [
+                    ("parallel", len(set(ends)) < len(ends)),
+                    ("self-loop", any(s == t for s, t in ends)),
+                    ("cycle", any(s != t and bfs_has_path(q, t, s) for s, t in ends)),
+                    ("all zero", q.arrows and not nonzero),
+                    ("all nonzero", q.arrows and len(nonzero) == len(q.arrows)),
+                    ("tie", 0 in values),
+                    ("several violators", len(positive) > 1),
+                ]
+                if present
+            )
+        assert len(seen) == 7, seen
+
+
+def test_report_does_not_collect_the_supports():
+    # 2^16 supports: a family of frozensets would take several megabytes
+    n = 16
+    q = Quiver(n=n, arrows=tuple(Arrow(f"a{j}", j, j - 1) for j in range(2, n + 1)))
+    p = zero_point(q)
+    chi = Character((-1,) + (0,) * (n - 2) + (1,))
+    tracemalloc.start()
+    try:
+        report = stability_report(q, p, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == StabilityReport(False, False, tuple(range(2, n + 1)), 1 << n)
+    assert peak < 1 << 20
 
 
 class TestCharacterFromWeights:
